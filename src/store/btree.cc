@@ -691,19 +691,25 @@ Result<BTreeCursorPos> BTree::SeekFirst() const {
   return Corrupt(info_.root, "descent exceeds max height");
 }
 
-Result<BTreeCursorPos> BTree::SeekElement(const XSet& lo) const {
-  uint32_t page_id = info_.root;
+namespace {
+
+/// Root-to-leaf descent to the first leaf entry that is not `before` the
+/// seek target: `descend` picks the child to follow in an internal node,
+/// `before` orders a decoded leaf entry against the target. Past-the-end
+/// positions resolve through the leaf chain on the first ReadLeafBatch.
+template <typename Descend, typename Before>
+Result<BTreeCursorPos> SeekLeafEntry(Pager& pager, uint32_t root, Descend descend,
+                                     Before before) {
+  uint32_t page_id = root;
   for (uint32_t depth = 0; depth <= kMaxHeight; ++depth) {
     Node node;
-    XST_RETURN_NOT_OK(ReadNode(*pager_, page_id, &node));
+    XST_RETURN_NOT_OK(ReadNode(pager, page_id, &node));
     if (node.leaf) {
-      // First entry whose element is ≥ lo; past-the-end positions resolve
-      // through the leaf chain on the first ReadLeafBatch.
       size_t a = 0, b = node.members.size();
       while (a < b) {
         size_t mid = a + (b - a) / 2;
-        XST_ASSIGN_OR_RAISE(Membership probe, DecodeEntry(*pager_, node.members[mid]));
-        if (Compare(probe.element, lo) < 0) {
+        XST_ASSIGN_OR_RAISE(Membership probe, DecodeEntry(pager, node.members[mid]));
+        if (before(probe)) {
           a = mid + 1;
         } else {
           b = mid;
@@ -712,10 +718,32 @@ Result<BTreeCursorPos> BTree::SeekElement(const XSet& lo) const {
       return BTreeCursorPos{page_id, static_cast<uint32_t>(a) + 1};
     }
     if (node.children.empty()) return Corrupt(page_id, "internal node has no children");
-    XST_ASSIGN_OR_RAISE(size_t idx, DescentIndexByElement(*pager_, node.children, lo));
+    XST_ASSIGN_OR_RAISE(size_t idx, descend(node.children));
     page_id = node.children[idx].child;
   }
-  return Corrupt(info_.root, "descent exceeds max height");
+  return Corrupt(root, "descent exceeds max height");
+}
+
+}  // namespace
+
+Result<BTreeCursorPos> BTree::SeekElement(const XSet& lo) const {
+  // First entry whose element is ≥ lo.
+  return SeekLeafEntry(
+      *pager_, info_.root,
+      [&](const std::vector<ChildEntry>& children) {
+        return DescentIndexByElement(*pager_, children, lo);
+      },
+      [&](const Membership& probe) { return Compare(probe.element, lo) < 0; });
+}
+
+Result<BTreeCursorPos> BTree::SeekAfter(const Membership& m) const {
+  // First entry > m.
+  return SeekLeafEntry(
+      *pager_, info_.root,
+      [&](const std::vector<ChildEntry>& children) {
+        return DescentIndex(*pager_, children, m);
+      },
+      [&](const Membership& probe) { return CompareMembership(probe, m) <= 0; });
 }
 
 Result<bool> BTree::ReadLeafBatch(BTreeCursorPos* pos, const XSet* hi_element,

@@ -108,6 +108,10 @@ class BTree {
   /// structural order — the lower edge of a range σ-restriction.
   Result<BTreeCursorPos> SeekElement(const XSet& lo) const;
 
+  /// \brief Position at the first entry strictly greater than `m` — where
+  /// a cursor that last returned `m` resumes after the tree has changed.
+  Result<BTreeCursorPos> SeekAfter(const Membership& m) const;
+
   /// \brief Appends the rest of pos's leaf to `out` and advances pos to the
   /// next leaf. When `hi_element` is non-null, stops (and exhausts the
   /// cursor) at the first entry whose element exceeds it. Returns false

@@ -13,11 +13,16 @@
 // 4-tuple spelling, so catalogs written before indexes existed load
 // unchanged, and the three location fields are reinterpreted per kind
 // (first_page=root, page_span=height, byte_length=cardinality).
+//
+// Each entry keeps its tuple, interned once when the entry is put (or
+// loaded), and the tuples are kept in the set's canonical order, so
+// persisting the catalog after a one-entry change builds one tuple and
+// re-sorts nothing (Encode). Both lists are flat vectors: a commit copies
+// the catalog to stage its change, and copying a vector is one allocation.
 
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -49,7 +54,7 @@ class Catalog {
   /// \brief Removes a name; NotFound if absent.
   Status Remove(const std::string& name);
 
-  bool Contains(const std::string& name) const { return entries_.count(name) != 0; }
+  bool Contains(const std::string& name) const { return Find(name) != nullptr; }
 
   /// \brief All names in lexicographic order.
   std::vector<std::string> Names() const;
@@ -59,12 +64,31 @@ class Catalog {
   /// \brief The catalog as an extended set (see file comment).
   XSet ToXSet() const;
 
+  /// \brief The codec encoding of ToXSet(), built from the cached tuples
+  /// without interning the catalog set itself.
+  std::string Encode() const;
+
   /// \brief Rebuilds a catalog from its set form; TypeError on malformed
   /// entries.
   static Result<Catalog> FromXSet(const XSet& repr);
 
  private:
-  std::map<std::string, CatalogEntry> entries_;
+  struct Slot {
+    std::string name;
+    CatalogEntry entry;
+    XSet tuple;  // ⟨name, first_page, page_span, byte_length[, kind]⟩
+  };
+
+  /// Index of the first entry whose name is not less than `name`.
+  size_t NameIndex(const std::string& name) const;
+  const Slot* Find(const std::string& name) const;
+  /// Puts `tuple` for `name`, replacing the name's old tuple if any.
+  void PutTuple(const std::string& name, const CatalogEntry& entry, XSet tuple);
+  /// Removes `tuple` from members_.
+  void DropTuple(const XSet& tuple);
+
+  std::vector<Slot> entries_;        // ascending by name
+  std::vector<Membership> members_;  // {tuple ^ ∅}, in canonical order
 };
 
 }  // namespace xst

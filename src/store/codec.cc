@@ -143,19 +143,22 @@ void EncodeXSet(const XSet& s, std::string* out) {
       out->append(s.str_value());
       return;
     }
-    case NodeKind::kSet: {
-      if (s.empty()) {
-        out->push_back(static_cast<char>(kTagEmpty));
-        return;
-      }
-      out->push_back(static_cast<char>(kTagSet));
-      PutVarint(s.cardinality(), out);
-      for (const Membership& m : s.members()) {
-        EncodeXSet(m.element, out);
-        EncodeXSet(m.scope, out);
-      }
+    case NodeKind::kSet:
+      EncodeMemberList(s.members(), out);
       return;
-    }
+  }
+}
+
+void EncodeMemberList(std::span<const Membership> members, std::string* out) {
+  if (members.empty()) {
+    out->push_back(static_cast<char>(kTagEmpty));
+    return;
+  }
+  out->push_back(static_cast<char>(kTagSet));
+  PutVarint(members.size(), out);
+  for (const Membership& m : members) {
+    EncodeXSet(m.element, out);
+    EncodeXSet(m.scope, out);
   }
 }
 

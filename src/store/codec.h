@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -30,6 +31,11 @@ void EncodeXSet(const XSet& s, std::string* out);
 
 /// \brief Convenience: the canonical encoding as a fresh buffer.
 std::string EncodeXSetToString(const XSet& s);
+
+/// \brief Appends the encoding of the set whose canonical (strictly
+/// ascending) member list is `members` — byte-identical to EncodeXSet of
+/// that set, without interning the set itself.
+void EncodeMemberList(std::span<const Membership> members, std::string* out);
 
 /// \brief Decodes one value from `data` starting at *offset; advances
 /// *offset past it. Corruption on malformed input.

@@ -62,18 +62,20 @@ class StoredSetCursor final : public MemberCursor {
 /// \brief Cursor streaming an ordered-index set leaf-by-leaf. Each
 /// NextBatch() is one SetStore::ReadIndexBatch call — one leaf page of
 /// memberships — so memory stays O(leaf), not O(set). Optionally bounded
-/// above by an element (`hi`) for range σ-restriction; the lower bound is
-/// baked into the starting position by SeekElement. Invalidated by any
-/// mutation of the store.
+/// by elements (`lo`, `hi`) for range σ-restriction; the lower bound is
+/// baked into the starting position by SeekElement. A commit between two
+/// batches makes the next batch re-seek past the last member returned, so
+/// each batch reads the tree as of that batch and the stream stays in
+/// ascending order without repeats.
 class BTreeCursor final : public MemberCursor {
  public:
-  BTreeCursor(SetStore& store, BTreeCursorPos pos, std::optional<XSet> hi)
-      : store_(store), pos_(pos), hi_(std::move(hi)) {}
+  BTreeCursor(SetStore& store, IndexCursorState state)
+      : store_(store), state_(std::move(state)) {}
 
   std::span<const Membership> NextBatch() override {
     if (!status_.ok()) return {};
     buffer_.clear();
-    Status read = store_.ReadIndexBatch(&pos_, hi_ ? &*hi_ : nullptr, &buffer_);
+    Status read = store_.ReadIndexBatch(&state_, &buffer_);
     if (!read.ok()) {
       status_ = std::move(read);
       buffer_.clear();
@@ -85,8 +87,7 @@ class BTreeCursor final : public MemberCursor {
 
  private:
   SetStore& store_;
-  BTreeCursorPos pos_;
-  std::optional<XSet> hi_;
+  IndexCursorState state_;
   std::vector<Membership> buffer_;
   Status status_;
 };

@@ -11,17 +11,7 @@ namespace {
 constexpr size_t kHeaderSize = 16;  // checksum(8) + slot count(4) + free offset(4)
 constexpr size_t kSlotEntrySize = 8;
 
-void PutU32(uint32_t v, std::string* out) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-
-void PutU64(uint64_t v, std::string* out) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
+void EncodeU32(uint32_t v, char* dst) { std::memcpy(dst, &v, 4); }
 
 uint32_t ReadU32(std::string_view bytes, size_t offset) {
   uint32_t v;
@@ -35,10 +25,16 @@ uint64_t ReadU64(std::string_view bytes, size_t offset) {
   return v;
 }
 
-// Folds the caller's seed into the FNV-1a offset basis. Seed 0 maps to the
-// plain basis, so unseeded images keep the historical checksum value.
-uint64_t ChecksumBasis(uint64_t seed) {
-  return 14695981039346656037ULL ^ (seed * 0x9e3779b97f4a7c15ULL);
+uint64_t BodyChecksum(std::string_view bytes, uint64_t seed) {
+  return Checksum64(bytes.data() + 8, kPageSize - 8, seed);
+}
+
+// The checksum of the older on-disk format: byte-at-a-time FNV-1a with the
+// seed folded into its offset basis. Kept only to name the cause when an
+// older store is opened (see FromBytes); nothing writes it any more.
+uint64_t OlderFormatChecksum(std::string_view bytes, uint64_t seed) {
+  return HashBytes(bytes.data() + 8, kPageSize - 8,
+                   14695981039346656037ULL ^ (seed * 0x9e3779b97f4a7c15ULL));
 }
 
 }  // namespace
@@ -50,8 +46,12 @@ Result<Page> Page::FromBytes(std::string_view bytes, uint64_t seed) {
     return Status::Corruption("page image has wrong size " + std::to_string(bytes.size()));
   }
   uint64_t stored_checksum = ReadU64(bytes, 0);
-  uint64_t actual = HashBytes(bytes.data() + 8, kPageSize - 8, ChecksumBasis(seed));
-  if (stored_checksum != actual) {
+  if (stored_checksum != BodyChecksum(bytes, seed)) {
+    if (stored_checksum == OlderFormatChecksum(bytes, seed)) {
+      return Status::Corruption(
+          "page checksum mismatch: the page carries the older FNV-1a checksum, "
+          "so the file is in an older on-disk format; rebuild the store");
+    }
     return Status::Corruption("page checksum mismatch");
   }
   Page page;
@@ -77,20 +77,19 @@ Result<Page> Page::FromBytes(std::string_view bytes, uint64_t seed) {
 }
 
 std::string Page::ToBytes(uint64_t seed) const {
-  std::string body;
-  body.reserve(kPageSize - 8);
-  PutU32(slot_count_, &body);
-  PutU32(free_offset_, &body);
+  std::string out(kPageSize, '\0');
+  char* dst = out.data();
+  EncodeU32(slot_count_, dst + 8);
+  EncodeU32(free_offset_, dst + 12);
+  size_t offset = kHeaderSize;
   for (const Slot& slot : slots_) {
-    PutU32(slot.offset, &body);
-    PutU32(slot.length, &body);
+    EncodeU32(slot.offset, dst + offset);
+    EncodeU32(slot.length, dst + offset + 4);
+    offset += kSlotEntrySize;
   }
-  body.append(data_);
-  body.resize(kPageSize - 8, '\0');
-  std::string out;
-  out.reserve(kPageSize);
-  PutU64(HashBytes(body.data(), body.size(), ChecksumBasis(seed)), &out);
-  out.append(body);
+  std::memcpy(dst + offset, data_.data(), data_.size());
+  const uint64_t checksum = BodyChecksum(out, seed);
+  std::memcpy(dst, &checksum, 8);
   return out;
 }
 

@@ -1,7 +1,7 @@
 // Slotted pages: the on-disk unit of the set store.
 //
 // Layout (kPageSize bytes):
-//   [0..8)    checksum of bytes [8..kPageSize)   (FNV-1a 64, seeded)
+//   [0..8)    checksum of bytes [8..kPageSize)   (Checksum64, seeded)
 //   [8..12)   slot count (u32)
 //   [12..16)  free-space offset (u32, grows upward from the header)
 //   [16..)    slot directory: (offset u32, length u32) per slot
@@ -36,8 +36,10 @@ class Page {
   /// `seed` perturbs the checksum domain; the pager passes the page id, so a
   /// structurally valid page written to (or read from) the wrong offset — a
   /// misdirected write — fails validation instead of decoding silently.
-  /// Seed 0 is the historical unseeded format, kept as the default so
-  /// standalone page images (and the page-0 superblock) are unchanged.
+  /// Seed 0 is the default for standalone page images (and is what the
+  /// page-0 superblock gets as its id). An image that fails the checksum
+  /// but carries the older format's FNV-1a checksum is reported as such,
+  /// so an older store is refused with its cause named.
   static Result<Page> FromBytes(std::string_view bytes, uint64_t seed = 0);
 
   /// \brief The raw image with a freshly computed checksum under `seed`.

@@ -67,6 +67,21 @@ size_t EffectiveShards(size_t requested, size_t capacity) {
 
 namespace internal {
 
+void PagerShard::MarkUnlogged(PageFrame* frame) {
+  if (!frame->dirty || frame->logged) unlogged.push_back(frame);
+  frame->dirty = true;
+  frame->logged = false;
+}
+
+void PagerShard::ForgetUnlogged(PageFrame* frame) {
+  if (!frame->dirty || frame->logged) return;
+  // The list holds the pages one transaction changed in this shard — a
+  // handful — so a linear search is cheaper than any index over it.
+  auto it = std::find(unlogged.begin(), unlogged.end(), frame);
+  XST_DCHECK(it != unlogged.end());
+  if (it != unlogged.end()) unlogged.erase(it);
+}
+
 ShardLatchLock::ShardLatchLock(PagerShard* shard) : shard_(shard) {
   // Counter resolution happens before the latch is taken, so the one-time
   // registry lookup (registry mutex, rank 90) never runs under a latch.
@@ -120,8 +135,7 @@ void Pager::Unpin(internal::PageFrame* frame) {
 void Pager::MarkFrameDirty(internal::PageFrame* frame) {
   internal::PagerShard& shard = ShardFor(frame->page_id);
   internal::ShardLatchLock latch(&shard);
-  frame->dirty = true;
-  frame->logged = false;
+  shard.MarkUnlogged(frame);
 }
 
 PageWriteGuard::PageWriteGuard(PageRef& ref) : frame_(ref.frame_) {
@@ -136,8 +150,7 @@ PageWriteGuard::PageWriteGuard(PageRef& ref) : frame_(ref.frame_) {
 PageWriteGuard::~PageWriteGuard() {
   // The write window closes dirty: content changed, so any previously
   // logged image no longer matches and must not satisfy a commit drain.
-  frame_->dirty = true;
-  frame_->logged = false;
+  shard_->MarkUnlogged(frame_);
   shard_->latch.Unlock();
 }
 
@@ -230,7 +243,7 @@ Result<PageRef> Pager::AllocatePage() {
   if (!st.ok()) return st;
   internal::PageFrame& frame = shard.lru.emplace_front();
   frame.page_id = id;
-  frame.dirty = true;
+  shard.MarkUnlogged(&frame);
   shard.frames[id] = shard.lru.begin();
   page_count_.store(id + 1, std::memory_order_release);
   allocations_.fetch_add(1, std::memory_order_relaxed);
@@ -474,11 +487,13 @@ Status Pager::EvictIfFullLocked(internal::PagerShard& shard) {
           Status st = wal_->LogPageImage(victim->page_id,
                                          victim->page.ToBytes(victim->page_id));
           if (!st.ok()) return st;
+          shard.ForgetUnlogged(&*victim);
           victim->logged = true;
         }
       } else {
         Status st = WriteBack(shard, *victim);
         if (!st.ok()) return st;
+        shard.ForgetUnlogged(&*victim);
       }
     }
     shard.frames.erase(victim->page_id);
@@ -495,12 +510,19 @@ Status Pager::Flush() {
   XST_TRACE_SPAN("io.flush");
   for (auto& shard : shards_) {
     internal::ShardLatchLock latch(shard.get());
-    for (internal::PageFrame& frame : shard->lru) {
-      if (!frame.dirty) continue;
-      Status st = WriteBack(*shard, frame);
-      if (!st.ok()) return st;
-      frame.dirty = false;
+    // Without a log nothing is ever logged, so the unlogged list is exactly
+    // the dirty frames. Written in the order they became dirty; a failed
+    // write leaves that frame and the ones after it listed.
+    std::vector<internal::PageFrame*>& dirty = shard->unlogged;
+    size_t done = 0;
+    Status st = Status::OK();
+    for (; done < dirty.size(); ++done) {
+      st = WriteBack(*shard, *dirty[done]);
+      if (!st.ok()) break;
+      dirty[done]->dirty = false;
     }
+    dirty.erase(dirty.begin(), dirty.begin() + static_cast<std::ptrdiff_t>(done));
+    if (!st.ok()) return st;
   }
   return file_->Flush();
 }
@@ -509,14 +531,22 @@ Status Pager::DrainUnloggedToWal() {
   XST_DCHECK(wal_ != nullptr);
   for (auto& shard : shards_) {
     internal::ShardLatchLock latch(shard.get());
-    for (internal::PageFrame& frame : shard->lru) {
-      if (!frame.dirty || frame.logged) continue;
+    std::vector<internal::PageFrame*>& unlogged = shard->unlogged;
+    size_t done = 0;
+    Status st = Status::OK();
+    for (; done < unlogged.size(); ++done) {
+      internal::PageFrame& frame = *unlogged[done];
       // Buffer-only append (see EvictIfFullLocked) — legal under the latch.
-      Status st =
-          wal_->LogPageImage(frame.page_id, frame.page.ToBytes(frame.page_id));
-      if (!st.ok()) return st.WithContext("page " + std::to_string(frame.page_id));
+      st = wal_->LogPageImage(frame.page_id, frame.page.ToBytes(frame.page_id));
+      if (!st.ok()) {
+        st = st.WithContext("page " + std::to_string(frame.page_id));
+        break;
+      }
       frame.logged = true;
     }
+    unlogged.erase(unlogged.begin(),
+                   unlogged.begin() + static_cast<std::ptrdiff_t>(done));
+    if (!st.ok()) return st;
   }
   return Status::OK();
 }
@@ -524,9 +554,7 @@ Status Pager::DrainUnloggedToWal() {
 bool Pager::HasUnloggedDirty() const {
   for (const auto& shard : shards_) {
     internal::ShardLatchLock latch(shard.get());
-    for (const internal::PageFrame& frame : shard->lru) {
-      if (frame.dirty && !frame.logged) return true;
-    }
+    if (!shard->unlogged.empty()) return true;
   }
   return false;
 }
@@ -555,6 +583,7 @@ Status Pager::ApplyCheckpointImage(uint32_t page_id, const std::string& bytes) {
   if (it != shard.frames.end()) {
     // The resident frame holds the same committed content the image came
     // from (checkpoints run with no transaction open), so it is clean now.
+    shard.ForgetUnlogged(&*it->second);
     it->second->dirty = false;
     it->second->logged = false;
   }

@@ -111,7 +111,7 @@ struct PageFrame {
   // WAL mode: the current dirty content has been captured as a log record.
   // Content mutation clears it, so "dirty && !logged" is exactly the set of
   // frames DrainUnloggedToWal must capture before a commit record seals the
-  // txn.
+  // txn. Such a frame is always on its shard's `unlogged` list.
   bool logged = false;
 };
 
@@ -125,6 +125,18 @@ struct PagerShard {
   std::list<PageFrame> lru XST_GUARDED_BY(latch);
   std::unordered_map<uint32_t, std::list<PageFrame>::iterator> frames
       XST_GUARDED_BY(latch);
+  // Exactly the resident frames that are dirty and not logged, in the order
+  // they became so: what a commit must drain into the log. Kept by
+  // MarkUnlogged/ForgetUnlogged at every flag change, so a commit visits the
+  // pages it changed instead of every frame in the pool.
+  std::vector<PageFrame*> unlogged XST_GUARDED_BY(latch);
+
+  /// Marks a frame's content changed (dirty, no logged image matches it),
+  /// listing it if it was not dirty-and-unlogged already.
+  void MarkUnlogged(PageFrame* frame) XST_REQUIRES(latch);
+  /// Unlists a dirty-and-unlogged frame whose flags are about to change
+  /// (logged, cleaned, or evicted); a no-op for any other frame.
+  void ForgetUnlogged(PageFrame* frame) XST_REQUIRES(latch);
 };
 
 /// \brief RAII shard-latch acquisition with contention telemetry: a TryLock
@@ -150,6 +162,7 @@ class XST_SCOPED_CAPABILITY ShardLatchLock {
 }  // namespace internal
 
 class Pager;
+class PagerTestPeer;
 
 /// \brief RAII pin on a buffer-pool frame.
 ///
@@ -278,6 +291,8 @@ class Pager {
   /// \brief Logs every dirty-and-unlogged frame's image (the pages the
   /// current transaction mutated that pool pressure has not already
   /// spilled). Called immediately before the commit record is appended.
+  /// Visits only the shards' unlogged lists, so its cost follows the pages
+  /// the transaction changed, not the pool size.
   Status DrainUnloggedToWal();
 
   /// \brief True iff some frame is dirty with no logged image — i.e. the
@@ -311,6 +326,7 @@ class Pager {
  private:
   friend class PageRef;
   friend class PageWriteGuard;
+  friend class PagerTestPeer;  // tests: brute-force scans of the frame table
 
   Pager(std::unique_ptr<File> file, std::string name, size_t capacity,
         uint32_t page_count, size_t latch_shards);

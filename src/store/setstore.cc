@@ -231,24 +231,51 @@ Result<XSet> SetStore::DecodeBlobSet(Pager& pager, const std::string& name,
   return decoded;
 }
 
-Status SetStore::StageCatalog(const Catalog& staged) {
-  // Write the catalog blob first, then swap the superblock pointer — the
-  // order that keeps a half-applied transaction from referencing anything
-  // but garbage pages. Pool-only: the WAL commit that follows makes it
-  // durable; the main file is untouched until checkpoint.
-  std::string encoded = EncodeXSetToString(staged.ToXSet());
-  XST_ASSIGN_OR_RAISE(CatalogEntry entry, WriteBlob(encoded));
-  XSet pointer = XSet::Pair(XSet::Int(entry.first_page),
-                            XSet::Int(static_cast<int64_t>(entry.byte_length)));
-  XSet with_span = XSet::Pair(pointer, XSet::Int(entry.page_span));
-  std::string superblock_record = EncodeXSetToString(with_span);
+Status SetStore::RewriteBlob(const CatalogEntry& entry, const std::string& bytes) {
+  size_t offset = 0;
+  for (uint32_t i = 0; i < entry.page_span; ++i) {
+    const size_t chunk = std::min(ChunkCapacity(), bytes.size() - offset);
+    const std::string_view record = std::string_view(bytes).substr(offset, chunk);
+    offset += chunk;
+    XST_ASSIGN_OR_RAISE(PageRef page, pager_->FetchPage(entry.first_page + i));
+    PageWriteGuard guard(page);
+    *guard = Page();  // one record per page; pages past the data stay empty
+    if (!record.empty()) XST_RETURN_NOT_OK(guard->AddRecord(record).status());
+  }
+  return Status::OK();
+}
+
+Result<SetStore::CatalogPlacement> SetStore::StageCatalog(const Catalog& staged) {
+  XST_TRACE_SPAN("store.commit.stage");
+  // Pool-only: the WAL commit that follows makes the catalog durable; the
+  // main file is untouched until checkpoint, so rewriting the live catalog
+  // pages in place cannot expose a half-applied transaction.
+  CatalogPlacement placement;
+  std::string encoded = staged.Encode();
+  const size_t pages_needed =
+      std::max<size_t>(1, (encoded.size() + ChunkCapacity() - 1) / ChunkCapacity());
+  if (catalog_blob_.first_page != CatalogEntry::kInvalidFirstPage &&
+      pages_needed <= catalog_blob_.page_span) {
+    placement.blob = catalog_blob_;
+    placement.blob.byte_length = encoded.size();
+    XST_RETURN_NOT_OK(RewriteBlob(placement.blob, encoded));
+  } else {
+    // First commit, or the catalog outgrew its span: move it. The old span
+    // is garbage from this commit on (Compact reclaims it).
+    XST_ASSIGN_OR_RAISE(placement.blob, WriteBlob(encoded));
+  }
+  XSet pointer = XSet::Pair(XSet::Int(placement.blob.first_page),
+                            XSet::Int(static_cast<int64_t>(placement.blob.byte_length)));
+  XSet with_span = XSet::Pair(pointer, XSet::Int(placement.blob.page_span));
+  placement.superblock_record = EncodeXSetToString(with_span);
+  if (placement.superblock_record == superblock_record_) return placement;
 
   XST_ASSIGN_OR_RAISE(PageRef superblock, pager_->FetchPage(0));
   PageWriteGuard guard(superblock);  // marks dirty on scope exit
   *guard = Page();  // reset: the superblock holds exactly one record
-  Result<uint32_t> slot = guard->AddRecord(superblock_record);
+  Result<uint32_t> slot = guard->AddRecord(placement.superblock_record);
   if (!slot.ok()) return slot.status();
-  return Status::OK();
+  return placement;
 }
 
 Status SetStore::ValidateBlobRange(const std::string& what, int64_t first_page,
@@ -275,12 +302,14 @@ Status SetStore::ValidateBlobRange(const std::string& what, int64_t first_page,
 
 Status SetStore::LoadCatalog() {
   XSet with_span = XSet::Empty();
+  std::string superblock_record;
   {
     // Scoped pin: the superblock must be unpinned before ReadBlob below, or
     // a capacity-1 pool could never load its own catalog.
     XST_ASSIGN_OR_RAISE(PageRef superblock, pager_->FetchPage(0));
     XST_ASSIGN_OR_RAISE(std::string_view record, superblock->GetRecord(0));
     XST_ASSIGN_OR_RAISE(with_span, DecodeXSetWhole(record));
+    superblock_record = std::string(record);
   }
   XST_ASSIGN_OR_RAISE(XSet pointer, TupleGet(with_span, 1));
   XST_ASSIGN_OR_RAISE(XSet span_val, TupleGet(with_span, 2));
@@ -314,6 +343,8 @@ Status SetStore::LoadCatalog() {
     }
   }
   catalog_ = std::move(loaded);
+  catalog_blob_ = entry;
+  superblock_record_ = std::move(superblock_record);
   return Status::OK();
 }
 
@@ -359,16 +390,27 @@ Status SetStore::RecoverDurableLocked() {
 }
 
 Result<uint64_t> SetStore::CommitLocked(Catalog staged) {
-  Status st = StageCatalog(staged);
+  Result<CatalogPlacement> placement = StageCatalog(staged);
+  if (!placement.ok()) return FailTxnLocked(placement.status());
+  Status st = Status::OK();
+  {
+    XST_TRACE_SPAN("store.commit.drain");
+    st = pager_->DrainUnloggedToWal();
+  }
   if (!st.ok()) return FailTxnLocked(std::move(st));
-  st = pager_->DrainUnloggedToWal();
-  if (!st.ok()) return FailTxnLocked(std::move(st));
-  Result<uint64_t> lsn = wal_->AppendCommit();
+  Result<uint64_t> lsn = Status::Invalid("unset");
+  {
+    XST_TRACE_SPAN("store.commit.append");
+    lsn = wal_->AppendCommit();
+  }
   if (!lsn.ok()) return FailTxnLocked(lsn.status());
   catalog_ = std::move(staged);
+  catalog_blob_ = placement->blob;
+  superblock_record_ = std::move(placement->superblock_record);
   if (!options_.wal_group_commit) {
     // Serialized durability: fsync before releasing the store lock — the
     // baseline bench_wal compares group commit against.
+    XST_TRACE_SPAN("store.commit.wait_durable");
     Status durable = wal_->WaitDurable(*lsn);
     if (!durable.ok()) {
       Status recovered = RecoverDurableLocked();
@@ -385,7 +427,11 @@ Status SetStore::FinishCommit(const Result<uint64_t>& lsn) {
   if (!lsn.ok()) return lsn.status();
   if (*lsn == 0) return Status::OK();  // logical no-op: nothing was appended
   if (options_.wal_group_commit) {
-    Status durable = wal_->WaitDurable(*lsn);
+    Status durable = Status::OK();
+    {
+      XST_TRACE_SPAN("store.commit.wait_durable");
+      durable = wal_->WaitDurable(*lsn);
+    }
     if (!durable.ok()) {
       // The commit record never became durable, so the caller must NOT see
       // its effects: fall back to the on-disk durable prefix. Idempotent,
@@ -798,8 +844,9 @@ Result<std::unique_ptr<MemberCursor>> SetStore::OpenCursor(const std::string& na
         Result<BTreeCursorPos> pos = tree.SeekFirst();
         if (!ValidateView(view)) continue;
         if (!pos.ok()) return pos.status();
-        return std::unique_ptr<MemberCursor>(
-            new BTreeCursor(*this, *pos, std::nullopt));
+        return std::unique_ptr<MemberCursor>(new BTreeCursor(
+            *this, IndexCursorState{name, *pos, view.epoch, std::nullopt,
+                                    std::nullopt, std::nullopt}));
       }
       Result<XSet> value = DecodeBlobSet(*view.pager, name, view.entry);
       if (!ValidateView(view)) continue;
@@ -817,7 +864,9 @@ Result<std::unique_ptr<MemberCursor>> SetStore::OpenCursor(const std::string& na
 #endif
     BTree tree(pager_.get(), IndexInfoOf(entry));
     XST_ASSIGN_OR_RAISE(BTreeCursorPos pos, tree.SeekFirst());
-    return std::unique_ptr<MemberCursor>(new BTreeCursor(*this, pos, std::nullopt));
+    return std::unique_ptr<MemberCursor>(new BTreeCursor(
+        *this, IndexCursorState{name, pos, mutation_epoch_, std::nullopt,
+                                std::nullopt, std::nullopt}));
   }
   XST_ASSIGN_OR_RAISE(XSet value, GetLocked(name));
   return std::unique_ptr<MemberCursor>(new StoredSetCursor(std::move(value)));
@@ -841,7 +890,8 @@ Result<std::unique_ptr<MemberCursor>> SetStore::OpenElementRange(
         Result<BTreeCursorPos> pos = tree.SeekElement(lo);
         if (!ValidateView(view)) continue;
         if (!pos.ok()) return pos.status();
-        return std::unique_ptr<MemberCursor>(new BTreeCursor(*this, *pos, hi));
+        return std::unique_ptr<MemberCursor>(new BTreeCursor(
+            *this, IndexCursorState{name, *pos, view.epoch, lo, hi, std::nullopt}));
       }
       Result<XSet> value = DecodeBlobSet(*view.pager, name, view.entry);
       if (!ValidateView(view)) continue;
@@ -862,44 +912,71 @@ Result<std::unique_ptr<MemberCursor>> SetStore::OpenElementRange(
     // Seek the lower edge now; batches then touch only in-range leaves.
     BTree tree(pager_.get(), IndexInfoOf(entry));
     XST_ASSIGN_OR_RAISE(BTreeCursorPos pos, tree.SeekElement(lo));
-    return std::unique_ptr<MemberCursor>(new BTreeCursor(*this, pos, hi));
+    return std::unique_ptr<MemberCursor>(new BTreeCursor(
+        *this, IndexCursorState{name, pos, mutation_epoch_, lo, hi, std::nullopt}));
   }
   XST_ASSIGN_OR_RAISE(XSet value, GetLocked(name));
   return std::unique_ptr<MemberCursor>(new ElementRangeCursor(
       std::unique_ptr<MemberCursor>(new StoredSetCursor(std::move(value))), lo, hi));
 }
 
-Status SetStore::ReadIndexBatch(BTreeCursorPos* pos, const XSet* hi_element,
-                                std::vector<Membership>* out) {
+Status SetStore::ReadIndexBatchUnder(Pager& pager, const CatalogEntry& entry,
+                                     uint64_t epoch, IndexCursorState* cursor,
+                                     std::vector<Membership>* out) {
+  const size_t before = out->size();
+  BTree tree(&pager, IndexInfoOf(entry));
+  if (cursor->epoch != epoch) {
+    // A commit ran since the position was taken and may have shifted the
+    // leaf's entries (or split, merged, or freed the leaf): find the resume
+    // point again in the tree as it is now.
+    if (entry.kind != CatalogEntry::kKindIndex) {
+      return Status::Invalid("set '" + cursor->name +
+                             "' was replaced by a blob while a cursor was open");
+    }
+    Result<BTreeCursorPos> pos = cursor->last  ? tree.SeekAfter(*cursor->last)
+                                 : cursor->lo ? tree.SeekElement(*cursor->lo)
+                                              : tree.SeekFirst();
+    XST_RETURN_NOT_OK(pos.status());
+    cursor->pos = *pos;
+    cursor->epoch = epoch;
+  }
+  const XSet* hi = cursor->hi ? &*cursor->hi : nullptr;
+  for (;;) {
+    XST_ASSIGN_OR_RAISE(bool more, tree.ReadLeafBatch(&cursor->pos, hi, out));
+    if (!more || out->size() > before) break;
+  }
+  if (out->size() > before) cursor->last = out->back();
+  return Status::OK();
+}
+
+Status SetStore::ReadIndexBatch(IndexCursorState* cursor, std::vector<Membership>* out) {
+  // Exhausted stays exhausted, whatever commits follow.
+  if (cursor->pos.leaf == kInvalidPageId) return Status::OK();
   const size_t before = out->size();
   if (!options_.serialize_reads) {
-    const BTreeCursorPos saved = *pos;
+    const IndexCursorState saved = *cursor;
     for (int attempt = 0; attempt < 3; ++attempt) {
       XST_ASSIGN_OR_RAISE(ReadView view, CaptureView(nullptr));
-      BTree tree(view.pager.get(), BTreeInfo{});  // position-only: root unused
-      Status st = Status::OK();
-      for (;;) {
-        Result<bool> more = tree.ReadLeafBatch(pos, hi_element, out);
-        if (!more.ok()) {
-          st = more.status();
-          break;
-        }
-        if (!*more || out->size() > before) break;
+      if (view.epoch != cursor->epoch) {
+        // The re-seek needs the set's current tree; without one, reading
+        // on from the position needs no catalog entry at all.
+        XST_ASSIGN_OR_RAISE(view, CaptureView(&cursor->name));
       }
+      Status st = ReadIndexBatchUnder(*view.pager, view.entry, view.epoch, cursor, out);
       if (ValidateView(view)) return st;
       // Invalidated mid-batch: roll the cursor and the output back and
-      // retry from the captured position.
+      // retry from the captured state.
       out->resize(before);
-      *pos = saved;
+      *cursor = saved;
     }
   }
   MutexLock lock(&mu_);
   XST_RETURN_NOT_OK(CheckOpen());
-  BTree tree(pager_.get(), BTreeInfo{});  // position-only reads ignore the root
-  for (;;) {
-    XST_ASSIGN_OR_RAISE(bool more, tree.ReadLeafBatch(pos, hi_element, out));
-    if (!more || out->size() > before) return Status::OK();
+  CatalogEntry entry;
+  if (cursor->epoch != mutation_epoch_) {
+    XST_ASSIGN_OR_RAISE(entry, catalog_.Get(cursor->name));
   }
+  return ReadIndexBatchUnder(*pager_, entry, mutation_epoch_, cursor, out);
 }
 
 Status SetStore::Delete(const std::string& name) {

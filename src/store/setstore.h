@@ -13,8 +13,13 @@
 //   pages 1..N       blob chunks; a blob occupies a contiguous page span,
 //                    one record per page
 //
-// Updates are append-only (new blob, catalog pointer swap); stale pages are
+// Set values are written append-only (a new blob per Put); stale pages are
 // reclaimed by Compact(), which rewrites the live blobs into a fresh file.
+// The catalog blob is rewritten in place over its page span while it fits
+// (pages past its end are left empty) and moves to a fresh span only when
+// it outgrows it; the superblock is rewritten only when its record
+// changes. Both are safe for the reason in-place B+tree node rewrites are:
+// the main file is written only at checkpoint, from committed log images.
 // Every page is checksummed; any torn or tampered byte surfaces as
 // Corruption on read.
 //
@@ -24,7 +29,9 @@
 // batches those fsyncs across concurrent callers). The main file is
 // written only at checkpoint; Open() replays the log's committed prefix
 // after a crash. The `<path>.wal` sidecar belongs to the main file: move
-// or delete them together.
+// or delete them together. The "fsync" here and below is File::Flush,
+// which for StdioFile is fflush only: durable against a crash of the
+// process, not against a power loss (DESIGN.md §14.4).
 //
 // Failure contract (proved by tests/fault_injection_test.cc and
 // tests/wal_recovery_test.cc): every I/O failure surfaces as a non-OK
@@ -50,6 +57,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,6 +77,20 @@ namespace xst {
 enum class StorageMode {
   kBlob,          ///< one encoded value across a contiguous page span
   kOrderedIndex,  ///< B+tree of memberships in canonical order (btree.h)
+};
+
+/// \brief Where a streaming index cursor (store/cursor.h BTreeCursor)
+/// stands: its leaf position, the mutation epoch that position belongs to,
+/// and what to re-seek from once a commit may have moved the tree's
+/// entries — the last member returned, else the lower bound. Advanced by
+/// SetStore::ReadIndexBatch.
+struct IndexCursorState {
+  std::string name;
+  BTreeCursorPos pos;
+  uint64_t epoch = 0;
+  std::optional<XSet> lo;  ///< element lower bound; none = from the first
+  std::optional<XSet> hi;  ///< element upper bound; none = to the last
+  std::optional<Membership> last;  ///< the last member returned so far
 };
 
 struct SetStoreOptions {
@@ -144,9 +166,9 @@ class SetStore {
   Status Put(const std::string& name, const XSet& value) XST_EXCLUDES(mu_);
 
   /// \brief Writes several named sets with ONE catalog persist at the end:
-  /// all-or-nothing visibility across restarts (the superblock pointer is
-  /// the commit point; blobs written before a crash are unreferenced
-  /// garbage, reclaimed by Compact). Names must be unique within the batch.
+  /// all-or-nothing visibility across restarts (one WAL transaction: the
+  /// commit record seals the blobs and the catalog together). Names must
+  /// be unique within the batch.
   Status PutBatch(const std::vector<std::pair<std::string, XSet>>& entries)
       XST_EXCLUDES(mu_);
 
@@ -176,8 +198,9 @@ class SetStore {
 
   /// \brief Opens a streaming cursor over the stored set's canonical member
   /// list. Indexed sets stream leaf-by-leaf without materializing the set;
-  /// blob sets decode once and serve batch slices. The cursor is
-  /// invalidated by any mutation of the store.
+  /// blob sets decode once and serve batch slices (the value as of the
+  /// open). An indexed cursor stays valid across commits: each batch reads
+  /// the tree as it is then, resuming after the last member returned.
   Result<std::unique_ptr<MemberCursor>> OpenCursor(const std::string& name)
       XST_EXCLUDES(mu_);
 
@@ -191,9 +214,13 @@ class SetStore {
 
   /// \brief One leaf batch for a streaming index cursor (the BTreeCursor
   /// plumbing in store/cursor.h, not a user API): appends entries and
-  /// advances `pos`; an untouched `out` means the cursor is exhausted.
-  Status ReadIndexBatch(BTreeCursorPos* pos, const XSet* hi_element,
-                        std::vector<Membership>* out) XST_EXCLUDES(mu_);
+  /// advances `cursor`; an untouched `out` means the cursor is exhausted.
+  /// When a commit has run since the cursor's position was taken, the
+  /// position is first re-sought from the cursor's resume key under the
+  /// current tree, so the stream neither repeats nor skips a member and
+  /// returns only members inside its bounds.
+  Status ReadIndexBatch(IndexCursorState* cursor, std::vector<Membership>* out)
+      XST_EXCLUDES(mu_);
 
   /// \brief Full-store verification: re-reads every live blob through the
   /// checksummed page path and decodes it; ordered indexes additionally get
@@ -275,6 +302,14 @@ class SetStore {
     uint64_t epoch = 0;
   };
 
+  /// Where a staged catalog was written: its blob location and the
+  /// superblock record that points at it. Adopted by CommitLocked once the
+  /// commit record is appended.
+  struct CatalogPlacement {
+    CatalogEntry blob;
+    std::string superblock_record;
+  };
+
   Result<std::unique_ptr<Pager>> OpenPager(const std::string& path) const;
   Status CheckOpen() const XST_REQUIRES(mu_);
   /// Captures a ReadView under mu_ (entry lookup skipped when `name` is
@@ -285,6 +320,10 @@ class SetStore {
   /// may be returned only when this holds.
   bool ValidateView(const ReadView& view) const XST_EXCLUDES(mu_);
   Result<CatalogEntry> WriteBlob(const std::string& bytes) XST_REQUIRES(mu_);
+  /// Rewrites every page of `entry`'s span in place with `bytes` (which
+  /// must fit); pages past the end of `bytes` are left empty.
+  Status RewriteBlob(const CatalogEntry& entry, const std::string& bytes)
+      XST_REQUIRES(mu_);
   /// Streams a blob's pages out of `pager` via latched snapshot reads; no
   /// store lock needed (static on purpose: the concurrent read path runs it
   /// against a captured view's pager).
@@ -292,13 +331,21 @@ class SetStore {
   /// ReadBlobFrom + whole-set decode with name context.
   static Result<XSet> DecodeBlobSet(Pager& pager, const std::string& name,
                                     const CatalogEntry& entry);
+  /// One ReadIndexBatch attempt against `pager` as of mutation epoch
+  /// `epoch`. When the cursor's epoch differs it re-seeks first, in the tree
+  /// `entry` names; otherwise `entry` is not read. Static for the same
+  /// reason as ReadBlobFrom.
+  static Status ReadIndexBatchUnder(Pager& pager, const CatalogEntry& entry,
+                                    uint64_t epoch, IndexCursorState* cursor,
+                                    std::vector<Membership>* out);
   /// Materializes an ordered-index set from its leaves (count-checked;
   /// static for the same reason as ReadBlobFrom).
   static Result<XSet> MaterializeIndex(Pager& pager, const std::string& name,
                                        const CatalogEntry& entry);
   /// Writes `staged`'s blob + superblock pointer into the pool (no I/O to
-  /// the main file; durability comes from the WAL commit that follows).
-  Status StageCatalog(const Catalog& staged) XST_REQUIRES(mu_);
+  /// the main file; durability comes from the WAL commit that follows):
+  /// over the current catalog span when it fits, else to a fresh one.
+  Result<CatalogPlacement> StageCatalog(const Catalog& staged) XST_REQUIRES(mu_);
   Status LoadCatalog() XST_REQUIRES(mu_);
   /// Applies crash-recovery images to the main file and recycles the log.
   /// Runs in Open(), before the pager exists.
@@ -369,6 +416,11 @@ class SetStore {
   // then fail validation and retry against the new instance.
   std::shared_ptr<Pager> pager_ XST_GUARDED_BY(mu_);
   Catalog catalog_ XST_GUARDED_BY(mu_);
+  // Where catalog_ is persisted (first_page invalid before the first
+  // commit) and the superblock record pointing there. Set by LoadCatalog
+  // from the superblock, so a reopen or abort restores the committed ones.
+  CatalogEntry catalog_blob_ XST_GUARDED_BY(mu_);
+  std::string superblock_record_ XST_GUARDED_BY(mu_);
   // Bumped at the start of every mutation, checkpoint, and pager reopen;
   // ReadView validation compares it to detect overlapping writes.
   uint64_t mutation_epoch_ XST_GUARDED_BY(mu_) = 0;

@@ -17,7 +17,10 @@ namespace {
 // with epoch and LSN) the record checksum seed — a record can only validate
 // in the segment generation and log position it was written for.
 constexpr uint64_t kWalMagic = 0x39306c6177747378ULL;
-constexpr uint32_t kWalVersion = 1;
+// Version 2: header and record crcs (and the page images inside records)
+// use Checksum64; version 1 used byte-at-a-time FNV-1a. Open refuses any
+// other version rather than truncating a log it cannot read.
+constexpr uint32_t kWalVersion = 2;
 
 // Header: magic u64 | version u32 | pad u32 | epoch u64 | base LSN u64 |
 // crc u64 (over the first 32 bytes, seeded with the magic).
@@ -46,18 +49,6 @@ uint64_t DecodeFixed64(const char* src) {
   uint64_t v;
   std::memcpy(&v, src, sizeof v);
   return v;
-}
-
-void PutFixed32(uint32_t v, std::string* out) {
-  char buf[sizeof v];
-  EncodeFixed32(buf, v);
-  out->append(buf, sizeof v);
-}
-
-void PutFixed64(uint64_t v, std::string* out) {
-  char buf[sizeof v];
-  EncodeFixed64(buf, v);
-  out->append(buf, sizeof v);
 }
 
 uint64_t RecordSeed(uint64_t epoch, uint64_t lsn) {
@@ -95,8 +86,24 @@ Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path, WalOptions optio
     char hdr[kWalHeaderSize];
     Status st = wal->file_->ReadAt(0, hdr, kWalHeaderSize);
     if (!st.ok()) return st.WithContext("wal header " + path);
-    if (DecodeFixed64(hdr) == kWalMagic && DecodeFixed32(hdr + 8) == kWalVersion &&
-        DecodeFixed64(hdr + 32) == HashBytes(hdr, 32, kWalMagic)) {
+    const uint32_t version = DecodeFixed32(hdr + 8);
+    if (DecodeFixed64(hdr) == kWalMagic && version != kWalVersion) {
+      // A log of another format may hold committed changes the main file
+      // lacks; starting it over would drop them. Refuse, and touch nothing.
+      // The version is named only when the header checks out under that
+      // version's own checksum (version 1: FNV-1a); anything else with our
+      // magic is a damaged header, not a format to name.
+      if (version == 1 && DecodeFixed64(hdr + 32) == HashBytes(hdr, 32, kWalMagic)) {
+        return Status::NotImplemented(
+            "wal " + path + ": log format version 1, but this build reads only version " +
+            std::to_string(kWalVersion) +
+            "; open the store with the build that wrote it, or rebuild the store");
+      }
+      return Status::Corruption("wal " + path + ": damaged log header (format version field " +
+                                std::to_string(version) + ", checksum does not match)");
+    }
+    if (DecodeFixed64(hdr) == kWalMagic &&
+        DecodeFixed64(hdr + 32) == Checksum64(hdr, 32, kWalMagic)) {
       valid_header = true;
       wal->epoch_ = DecodeFixed64(hdr + 16);
       wal->base_lsn_ = DecodeFixed64(hdr + 24);
@@ -133,7 +140,7 @@ Status Wal::WriteFreshSegment(uint64_t epoch, uint64_t base_lsn) {
   EncodeFixed32(hdr + 8, kWalVersion);
   EncodeFixed64(hdr + 16, epoch);
   EncodeFixed64(hdr + 24, base_lsn);
-  EncodeFixed64(hdr + 32, HashBytes(hdr, 32, kWalMagic));
+  EncodeFixed64(hdr + 32, Checksum64(hdr, 32, kWalMagic));
   st = file_->WriteAt(0, hdr, kWalHeaderSize);  // xst-lint: allow(blocking-under-latch)
   if (!st.ok()) return st.WithContext("wal " + path_);
   st = file_->Flush();  // xst-lint: allow(blocking-under-latch)
@@ -158,7 +165,7 @@ Status Wal::CheckSegmentHeader() {
   }
   if (size < kWalHeaderSize || DecodeFixed64(hdr) != kWalMagic ||
       DecodeFixed32(hdr + 8) != kWalVersion ||
-      DecodeFixed64(hdr + 32) != HashBytes(hdr, 32, kWalMagic) ||
+      DecodeFixed64(hdr + 32) != Checksum64(hdr, 32, kWalMagic) ||
       DecodeFixed64(hdr + 16) != epoch_ || DecodeFixed64(hdr + 24) != base_lsn_) {
     return Status::Corruption("wal " + path_ +
                               ": on-disk segment header does not match the "
@@ -195,7 +202,7 @@ Status Wal::ScanCommittedPrefix(std::map<uint32_t, std::string>* out,
     body.resize(len);
     st = file_->ReadAt(off + kFrameHeaderSize, body.data(), len);  // xst-lint: allow(blocking-under-latch)
     if (!st.ok()) return st.WithContext("wal " + path_);
-    if (HashBytes(body.data(), len, RecordSeed(epoch_, rlsn)) != crc) break;
+    if (Checksum64(body.data(), len, RecordSeed(epoch_, rlsn)) != crc) break;
     if (body.empty()) break;
     size_t p = 0;
     const uint8_t type = static_cast<uint8_t>(body[p++]);
@@ -259,18 +266,23 @@ void Wal::BeginTxn() {
   txn_open_ = true;
 }
 
-void Wal::AppendRecord(uint8_t type, uint64_t txn_id, std::string_view payload) {
-  std::string body;
-  body.reserve(1 + 10 + payload.size());
-  body.push_back(static_cast<char>(type));
-  PutVarint(txn_id, &body);
-  body.append(payload);
+void Wal::AppendRecord(uint8_t type, uint64_t txn_id, uint64_t page_id,
+                       std::string_view image) {
+  // The frame goes straight into the buffer: header with a zero crc, then
+  // the body, then the crc over the body bytes where they landed.
+  const size_t frame = buffer_.size();
+  buffer_.append(kFrameHeaderSize, '\0');
+  buffer_.push_back(static_cast<char>(type));
+  PutVarint(txn_id, &buffer_);
+  if (type == kPageImage) PutVarint(page_id, &buffer_);
+  buffer_.append(image);
+  const size_t body_len = buffer_.size() - frame - kFrameHeaderSize;
   const uint64_t lsn = ++appended_lsn_;
-  const uint64_t crc = HashBytes(body.data(), body.size(), RecordSeed(epoch_, lsn));
-  PutFixed32(static_cast<uint32_t>(body.size()), &buffer_);
-  PutFixed64(lsn, &buffer_);
-  PutFixed64(crc, &buffer_);
-  buffer_.append(body);
+  char* header = buffer_.data() + frame;
+  EncodeFixed32(header, static_cast<uint32_t>(body_len));
+  EncodeFixed64(header + 4, lsn);
+  EncodeFixed64(header + 12, Checksum64(header + kFrameHeaderSize, body_len,
+                                        RecordSeed(epoch_, lsn)));
   AppendsCounter().Increment();
 }
 
@@ -279,11 +291,7 @@ Status Wal::LogPageImage(uint32_t page_id, std::string image) {
   MutexLock lock(&mu_);
   XST_DCHECK(txn_open_);
   if (device_failed_) return flush_error_.WithContext("wal append");
-  std::string payload;
-  payload.reserve(5 + image.size());
-  PutVarint(page_id, &payload);
-  payload.append(image);
-  AppendRecord(kPageImage, txn_id_, payload);
+  AppendRecord(kPageImage, txn_id_, page_id, image);
   staged_[page_id] = std::move(image);
   return Status::OK();
 }
@@ -297,7 +305,7 @@ Result<uint64_t> Wal::AppendCommit() {
     ++txn_id_;
     return flush_error_.WithContext("wal commit");
   }
-  AppendRecord(kCommit, txn_id_, std::string_view());
+  AppendRecord(kCommit, txn_id_, 0, std::string_view());
   for (auto& [pg, img] : staged_) resident_[pg] = std::move(img);
   staged_.clear();
   txn_open_ = false;

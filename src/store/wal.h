@@ -10,8 +10,9 @@
 // not by careful sequencing (a no-steal, redo-only protocol).
 //
 // Log layout:
-//   header (40 bytes)  magic, version, epoch, base LSN, seeded checksum
+//   header (40 bytes)  magic, version (2), epoch, base LSN, seeded checksum
 //   record frame       [u32 body_len][u64 lsn][u64 crc][body]
+//                      (crc: Checksum64 of the body, src/common/hash.h)
 //   body               [u8 type][varint txn_id][payload]
 //     kPageImage       payload = varint page_id + kPageSize image bytes
 //     kCommit          payload empty — seals every prior image of txn_id
@@ -40,7 +41,12 @@
 // mutation history; SetStore replays it into the main file and resets the
 // log. An unreadable or half-written header is treated as an empty log —
 // the header is only ever (re)written when the main file is self-contained
-// (segment creation and post-checkpoint reset), so nothing is lost.
+// (segment creation and post-checkpoint reset), so nothing is lost. A
+// header with our magic but another version is refused instead, and the
+// file is left as it is, because such a log may hold committed changes
+// this build cannot read. Open names both versions when the header checks
+// out under the older version's own checksum. Any other such header is
+// reported as Corruption.
 //
 // Thread safety: one internal Mutex guards all log state. The store's lock
 // ordering is SetStore::mu_ → Wal::mu_ (appends run under both, waits take
@@ -209,8 +215,10 @@ class Wal {
   // tail could let a crash stitch old and new records into one chain.
   Status ScanCommittedPrefix(std::map<uint32_t, std::string>* resident,
                              uint64_t limit_lsn) XST_REQUIRES(mu_);
-  void AppendRecord(uint8_t type, uint64_t txn_id, std::string_view payload)
-      XST_REQUIRES(mu_);
+  // Appends one framed record to buffer_: a page image (`page_id`, `image`)
+  // or, for kCommit, an empty payload.
+  void AppendRecord(uint8_t type, uint64_t txn_id, uint64_t page_id,
+                    std::string_view image) XST_REQUIRES(mu_);
   Status WriteBatch(const FlushJob& job);  // file I/O; no lock, single flusher
 
   // The file handle: exclusively the flush leader's while flusher_active_,

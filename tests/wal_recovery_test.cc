@@ -42,7 +42,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <random>
@@ -50,6 +52,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/core/validate.h"
 #include "src/obs/metrics.h"
 #include "src/store/fault_file.h"
@@ -470,6 +473,87 @@ TEST(WalRecovery, ReplayOnOpenAfterCrashClose) {
     EXPECT_EQ(RecoveryReplayedCounter().value(), replayed_mid);
     EXPECT_TRUE(MatchesModel(**again, states.back()));
   }
+  RemoveStoreFiles(path);
+}
+
+TEST(WalRecovery, OtherFormatVersionIsRefusedAndLeftUntouched) {
+  // Regression: a header with the right magic but another version used to
+  // count as an empty log, and the log was truncated — dropping committed
+  // changes not yet checkpointed into the main file.
+  const std::string path = TestPath("version");
+  RemoveStoreFiles(path);
+  const XSet value = XSet::Classical({XSet::Int(1), XSet::Int(2)});
+  {
+    SetStoreOptions options;
+    options.checkpoint_on_close = false;  // the commit lives only in the log
+    auto store = SetStore::Open(path, options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->Put("kept", value).ok());
+  }
+  const auto read_all = [](const std::string& p) {
+    std::ifstream f(p, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(f), {});
+  };
+  // Header layout: magic u64, version u32, pad u32, epoch u64, base LSN
+  // u64, checksum u64 over the first 32 bytes.
+  const std::string original_header = read_all(path + ".wal").substr(0, 40);
+  const uint32_t current = [&] {
+    uint32_t v = 0;
+    std::memcpy(&v, original_header.data() + 8, sizeof v);
+    return v;
+  }();
+  const auto write_header = [&](const std::string& header) {
+    std::fstream f(path + ".wal", std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    f.write(header.data(), static_cast<std::streamsize>(header.size()));
+  };
+  // `version` in place of the current one; the checksum is version 1's
+  // (FNV-1a seeded by the magic) when `v1_checksum`, else left as it was.
+  const auto header_as = [&](uint32_t version, bool v1_checksum) {
+    std::string header = original_header;
+    std::memcpy(header.data() + 8, &version, sizeof version);
+    if (v1_checksum) {
+      uint64_t magic = 0;
+      std::memcpy(&magic, header.data(), sizeof magic);
+      const uint64_t crc = HashBytes(header.data(), 32, magic);
+      std::memcpy(header.data() + 32, &crc, sizeof crc);
+    }
+    return header;
+  };
+  // Refused with `code`, naming `names` in the message; nothing truncated
+  // or rewritten: same size, same bytes, both files.
+  const auto expect_refused = [&](const std::string& header, StatusCode code,
+                                  const std::vector<std::string>& names) {
+    write_header(header);
+    const std::string log_before = read_all(path + ".wal");
+    const std::string main_before = read_all(path);
+    auto refused = SetStore::Open(path);
+    ASSERT_FALSE(refused.ok());
+    const std::string message = refused.status().ToString();
+    EXPECT_EQ(refused.status().code(), code) << message;
+    for (const std::string& name : names) {
+      EXPECT_NE(message.find(name), std::string::npos) << message;
+    }
+    const std::string log_after = read_all(path + ".wal");
+    EXPECT_EQ(log_after.size(), log_before.size());
+    EXPECT_EQ(log_after, log_before);
+    EXPECT_EQ(read_all(path), main_before);
+  };
+  // A well-formed version-1 header: the version is named, with ours.
+  expect_refused(header_as(1, true), StatusCode::kNotImplemented,
+                 {"version 1", "version " + std::to_string(current)});
+  // A damaged version-1 header (checksum off) and an unknown version are
+  // damage, not a format to name.
+  std::string damaged = header_as(1, true);
+  damaged[20] ^= 0x01;  // an epoch bit
+  expect_refused(damaged, StatusCode::kCorruption, {"damaged log header"});
+  expect_refused(header_as(7, false), StatusCode::kCorruption, {"damaged log header"});
+  // With its own header back, the log still holds the commit.
+  write_header(original_header);
+  auto reopened = SetStore::Open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(*(*reopened)->Get("kept"), value);
+  reopened->reset();
   RemoveStoreFiles(path);
 }
 
