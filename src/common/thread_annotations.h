@@ -5,8 +5,8 @@
 // guarded field happens under its lock and that lock acquisition order is
 // respected at function boundaries. On non-Clang compilers (and on Clang
 // without the analysis enabled) they expand to nothing, so annotated code is
-// portable; the astcheck tool (tools/xst_astcheck.py) re-checks the core
-// rules on such builds.
+// portable; the CI thread-safety job builds with Clang, so the analysis
+// runs on every change.
 //
 // Vocabulary (mirrors Abseil / LLVM's thread_annotations.h):
 //   XST_CAPABILITY(name)    a type that is a lockable capability (xst::Mutex)
@@ -25,8 +25,8 @@
 //   XST_NO_THREAD_SAFETY_ANALYSIS  opt a function out (e.g. init/teardown
 //                                  that is single-threaded by construction)
 //
-// Locksmith annotations (tools/xst_lint.py / tools/xst_astcheck.py — Clang's
-// TSA does not consume these; the lint engines do):
+// Locksmith annotations (tools/xst_lint.py — Clang's TSA does not consume
+// these; the lint does):
 //   XST_LOCK_RANK(n)    declares a Mutex's position in the global lock
 //                       hierarchy. Every acquisition path must be strictly
 //                       rank-increasing (lock-rank rule); ranks at or above
@@ -99,12 +99,12 @@
   XST_THREAD_ANNOTATION_ATTRIBUTE(no_thread_safety_analysis)
 
 // Locksmith: lock-rank / blocking-point declarations. On Clang these lower
-// to `annotate` attributes the AST engine reads back; the fallback engine
-// regex-parses the macro spelling, so keep the literal names stable.
+// to `annotate` attributes (metadata only); tools/xst_lint.py parses the
+// macro spelling, so keep the literal names stable.
 #if defined(__clang__) && (!defined(SWIG))
 #define XST_LOCK_RANK(n) __attribute__((annotate("xst::lock_rank=" #n)))
 #define XST_BLOCKING __attribute__((annotate("xst::blocking")))
 #else
-#define XST_LOCK_RANK(n)  // parsed by tools/xst_lint.py on non-Clang builds
+#define XST_LOCK_RANK(n)  // parsed by tools/xst_lint.py
 #define XST_BLOCKING
 #endif

@@ -26,7 +26,7 @@
 //                  edge; a B+tree-backed source reads only in-range leaves)
 //
 // The VM's dispatch switch over this enum must be exhaustive; lint enforces
-// it (vm-opcode-dispatch in tools/xst_lint.py / xst_astcheck.py).
+// it (vm-opcode-dispatch in tools/xst_lint.py).
 
 #pragma once
 

@@ -2,7 +2,7 @@
 //
 // Locksmith: acquiring against the declared XST_LOCK_RANK hierarchy — the
 // rank-10 store lock taken while the rank-20 latch is held — must be flagged
-// by tools/xst_lint.py (and the tools/xst_astcheck.py port).
+// by tools/xst_lint.py's lock-rank rule.
 #include "src/common/sync.h"
 
 class BadOrder {

@@ -1,96 +1,9 @@
 #!/usr/bin/env python3
 """xst-lint: project-specific structural lint for the XST C++ sources.
 
-Rules (see DESIGN.md section 7 for rationale):
-
-  thread-primitives      std::thread / std::async are forbidden outside
-                         src/common/thread_pool.* — all parallelism goes
-                         through the global pool so sanitizer runs and
-                         XST_NUM_THREADS stay authoritative.
-
-  raw-new-delete         Raw new/delete expressions are forbidden. Allowed:
-                         immediate smart-pointer wrap (same line or the line
-                         above contains `_ptr<`), `static ... = new` leaked
-                         singletons (the arena idiom), `= delete` declarations,
-                         and the arena owners themselves (core/interner.cc,
-                         common/thread_pool.cc).
-
-  interner-mutation      Mutating interner calls Interner::Global().Int/
-                         Symbol/String/Set are restricted to the core builder
-                         layer (core/xset.cc, core/builder.cc,
-                         core/interner.cc). Everything else builds values
-                         through XSet factories so hash-consing invariants
-                         have a single owner.
-
-  sorted-members-dcheck  Every XSet::FromSortedMembers call site must be
-                         paired with XST_DCHECK(IsCanonicalMemberList(...))
-                         within the 4 preceding lines. The factory trusts its
-                         input; the paired assertion is what keeps that trust
-                         honest in debug builds.
-
-  dcheck-side-effects    XST_DCHECK arguments must be side-effect free: under
-                         NDEBUG the argument is never evaluated, so `++`,
-                         `--`, or assignment inside one changes behavior
-                         between build types.
-
-  raw-page-pointer       Outside src/store/, buffer-pool pages must be held
-                         as PageRef pins — binding a raw `Page*` from
-                         FetchPage/AllocatePage recreates the use-after-evict
-                         the pin API exists to prevent (the pointed-to frame
-                         can be recycled by any later pager call).
-
-  obs-doc-comments       Every public function in src/obs/ headers must be
-                         preceded by a doc comment. The observability layer
-                         is called from every subsystem; its contracts
-                         (sampling weights, sink thread-locality, percentile
-                         bracketing) live in those comments.
-
-  vm-opcode-dispatch     Every switch dispatching on the VM OpCode enum must
-                         handle every enumerator and must not have a
-                         `default:` — adding an opcode must break every
-                         dispatch site at compile/lint time, never fall
-                         through silently. The enumerator catalog comes from
-                         the file's own `enum class OpCode` declaration when
-                         present, else from src/xsp/compile.h.
-
-  lock-order-cycle       The static lock-acquisition graph must be acyclic.
-                         Edges come from the PR5 thread-safety annotations
-                         and scoped-lock sites: a function annotated
-                         XST_REQUIRES(A) that constructs MutexLock(&B) adds
-                         A -> B, a MutexLock constructed while an earlier
-                         MutexLock in the same function is still in scope
-                         adds earlier -> later, and a declaration carrying
-                         both XST_REQUIRES(A) and XST_ACQUIRE(B) adds A -> B.
-                         A cycle (including a self-edge: re-acquiring a held
-                         lock) is a potential deadlock; establish a single
-                         lock order instead. Member locks unify class-wide
-                         (`Class::mu_`); locals stay scoped to their function.
-
-  lock-rank              Every XST_LOCK_RANK(n)-annotated mutex lives in one
-                         global hierarchy. The checker builds a call graph,
-                         propagates held-lock sets interprocedurally through
-                         XST_REQUIRES annotations, MutexLock scopes, and the
-                         pager's ShardLatchLock/PageWriteGuard latch guards,
-                         and rejects any acquisition whose rank is not
-                         strictly greater than every rank already held on
-                         that path. Unranked locks do not participate.
-
-  blocking-under-latch   Blocking points — File::Size/ReadAt/WriteAt/Flush/
-                         Truncate, Wal::WaitDurable/FlushAll, CondVar::Wait,
-                         ThreadPool::ParallelFor, plus anything declared
-                         XST_BLOCKING — must not be reachable while a lock of
-                         rank >= the latch floor (default 20) is held.
-                         CondVar::Wait exempts the innermost held lock (Wait
-                         releases it while blocked). Locks below the floor
-                         (the store's outer mu_) may legally cover I/O.
-
-  guarded-field-inference  A field written while a lock is held (a MutexLock
-                         in scope or an XST_REQUIRES on the method) but not
-                         annotated XST_GUARDED_BY is flagged at its
-                         declaration: either the annotation is missing or
-                         the locking is accidental. Atomics, const and
-                         mutex/condvar members are exempt. Only direct
-                         assignment/increment writes are recognized.
+DESIGN.md section 7.3 is the rule catalog: what each rule proves, its
+scope and exemptions. `--list-rules` prints the rule names, and each rule's
+function below carries its exemptions.
 
 Suppress a single line with a trailing comment:  // xst-lint: allow(rule-name)
 
@@ -98,7 +11,6 @@ Usage:
   tools/xst_lint.py [paths...]   # default: src/ relative to the repo root
   tools/xst_lint.py --list-rules
   tools/xst_lint.py --self-test
-  tools/xst_lint.py --latch-floor N [paths...]   # blocking-under-latch floor
 """
 
 import argparse
@@ -225,6 +137,10 @@ def _exempt(rel_path, names):
 # `(?!::)` spares nested names like std::thread::id, which name a type but
 # spawn nothing.
 THREAD_RE = re.compile(r"std::(thread|async)\b(?!::)")
+BARE_MUTEX_RE = re.compile(
+    r"std::(mutex|recursive_mutex|shared_mutex|timed_mutex|recursive_timed_mutex|"
+    r"lock_guard|unique_lock|shared_lock|scoped_lock|"
+    r"condition_variable|condition_variable_any)\b")
 NEW_RE = re.compile(r"\bnew\b")
 DELETE_RE = re.compile(r"\bdelete\b")
 EQ_DELETE_RE = re.compile(r"=\s*delete\b")
@@ -237,6 +153,8 @@ SIDE_EFFECT_RE = re.compile(
 )
 PAGE_FETCH_RE = re.compile(r"\b(FetchPage|AllocatePage)\s*\(")
 PAGE_PTR_RE = re.compile(r"\bPage\s*\*")
+PAGE_PTR_DECL_RE = re.compile(r"\bPage\s*\*\s*\w+\s*=")
+PAGEREF_DEREF_RE = re.compile(r"\.get\(\)|&\s*\*|operator->")
 
 
 def rule_thread_primitives(rel_path, lines, _raw):
@@ -247,6 +165,17 @@ def rule_thread_primitives(rel_path, lines, _raw):
         if m:
             yield i, (f"std::{m.group(1)} outside common/thread_pool; "
                       "route parallelism through ThreadPool::Global()")
+
+
+def rule_bare_mutex(rel_path, lines, _raw):
+    if _exempt(rel_path, ("common/sync.h", "common/sync.cc")):
+        return
+    for i, line in enumerate(lines, 1):
+        m = BARE_MUTEX_RE.search(line)
+        if m:
+            yield i, (f"bare std::{m.group(1)}; use xst::Mutex / MutexLock / "
+                      "CondVar (src/common/sync.h) so the thread-safety "
+                      "analysis sees the lock")
 
 
 def rule_raw_new_delete(rel_path, lines, _raw):
@@ -297,19 +226,19 @@ def rule_dcheck_side_effects(rel_path, lines, _raw):
 
 
 def rule_raw_page_pointer(rel_path, lines, _raw):
-    if rel_path.startswith("src/store/"):
-        return
+    if _exempt(rel_path, ("store/pager.h", "store/pager.cc")):
+        return  # the PageRef implementation itself
     for i, line in enumerate(lines, 1):
-        m = PAGE_FETCH_RE.search(line)
-        if not m:
+        if not PAGE_PTR_RE.search(line):
             continue
-        # The raw pointer may be declared on the call line or just above
-        # (multi-line statement), so check a 3-line window ending here.
-        window = "\n".join(lines[max(0, i - 3):i])
-        if PAGE_PTR_RE.search(window):
-            yield i, (f"raw Page* bound from {m.group(1)}; hold a PageRef pin "
-                      "(a raw frame pointer dangles as soon as the pool "
-                      "evicts the page)")
+        # The pinning call or the dereferenced pin may sit on this line or,
+        # in a multi-line statement, on the next two.
+        window = "\n".join(lines[i - 1:i + 2])
+        if PAGE_FETCH_RE.search(window) or (
+                PAGE_PTR_DECL_RE.search(line) and PAGEREF_DEREF_RE.search(window)):
+            yield i, ("raw Page* bound from FetchPage/AllocatePage or out of "
+                      "a PageRef; hold the PageRef pin (a raw frame pointer "
+                      "dangles as soon as the pool evicts the page)")
 
 
 OBS_ACCESS_RE = re.compile(r"^\s*(public|private|protected)\s*:")
@@ -449,12 +378,96 @@ def rule_vm_opcode_dispatch(rel_path, lines, _raw):
     return
 
 
+LOCK_DECL_RE = re.compile(r"\b(MutexLock|lock_guard|unique_lock|scoped_lock)\b\s*[<\w]*\s*\w+\s*[({]")
+PARALLEL_FOR_RE = re.compile(r"\bParallelFor\s*\(")
+
+
+def rule_lock_across_parallelfor(rel_path, lines, _raw):
+    # Scope heuristic: track brace depth; a lock declared at depth d is alive
+    # until depth drops below d. Any ParallelFor seen while a lock is alive is
+    # a finding.
+    depth = 0
+    live_locks = []  # (depth_declared, line_no)
+    for i, line in enumerate(lines, 1):
+        if LOCK_DECL_RE.search(line):
+            live_locks.append((depth + line.count("{"), i))
+        if PARALLEL_FOR_RE.search(line) and live_locks:
+            yield i, (f"ParallelFor reached with a lock held (acquired line "
+                      f"{live_locks[-1][1]}); worker chunks that contend on it "
+                      "deadlock the region — copy what you need, drop the "
+                      "lock, then go parallel")
+        depth += line.count("{") - line.count("}")
+        live_locks = [(d, ln) for d, ln in live_locks if d <= depth]
+
+
+RESULT_TYPE_RE = re.compile(r"\bResult\s*<")
+RESULT_NAME_RE = re.compile(r"\s*(?:const\b\s*)?[&*]*\s*(\w+)\s*[=;,)({\[]")
+RESULT_CALL_RE = re.compile(r"\b(\w+)\s*(?:\.|->)\s*(ok|value)\s*\(")
+
+
+def _scope_end(text, pos):
+    """Offset where a declaration ending at `pos` goes out of scope: the close
+    of its enclosing block, or, for a parameter (the declaration sits inside
+    a paren group), the close of the body after that group or the `;` of a
+    body-less declaration."""
+    depth, parens, param = 0, 0, False
+    for k in range(pos, len(text)):
+        c = text[k]
+        if c == "(":
+            parens += 1
+        elif c == ")":
+            param = param or parens == 0
+            parens = max(parens - 1, 0)
+        elif c == "{":
+            depth += 1
+        elif c == "}":
+            depth -= 1
+            if depth < 0 or (depth == 0 and param):
+                return k
+        elif c == ";" and param and depth == 0 and parens == 0:
+            return k
+    return len(text)
+
+
+def _result_decls(text):
+    """(name, start, end) for each variable declared with a Result<...>
+    type, in scope over text[start:end]."""
+    for m in RESULT_TYPE_RE.finditer(text):
+        depth, k = 1, m.end()
+        while k < len(text) and depth and text[k] not in ";{}":
+            depth += {"<": 1, ">": -1}.get(text[k], 0)
+            k += 1
+        name = RESULT_NAME_RE.match(text, k) if depth == 0 else None
+        if name:
+            yield name.group(1), name.start(1), _scope_end(text, name.end(1))
+
+
+def rule_result_value_unchecked(rel_path, lines, _raw):
+    # -Werror=unused-result cannot see this: `r.value()` uses `r`. Only
+    # explicitly typed declarations are known; an `auto` Result is not.
+    text = "\n".join(lines)
+    calls = [(m.group(1), m.group(2), m.start()) for m in RESULT_CALL_RE.finditer(text)]
+    if not any(kind == "value" for _, kind, _ in calls):
+        return
+    decls = list(_result_decls(text))
+    for name, kind, at in calls:
+        scopes = [s for n, s, e in decls if n == name and s < at < e]
+        if kind != "value" or not scopes:
+            continue
+        start = max(scopes)  # the innermost declaration
+        if not any(n == name and k == "ok" and start < o < at for n, k, o in calls):
+            yield text.count("\n", 0, at) + 1, (
+                f"Result::value() on `{name}` with no earlier `{name}.ok()` "
+                "check; value() on an error Result aborts — test ok() first "
+                "or use XST_ASSIGN_OR_RAISE")
+
+
 # ---------------------------------------------------------------------------
-# lock-order-cycle: build the static lock-acquisition graph and reject
-# cycles. The edge extractor is textual (brace-depth state machine over the
-# stripped lines) and is shared with tools/xst_astcheck.py, whose AST engine
-# re-derives the same edges from clang cursors and whose cross-file pass
-# aggregates these edges over the whole tree.
+# locksmith: the concurrency-protocol rules (lock-rank, blocking-under-latch,
+# guarded-field-inference). One textual collector builds a ConcurrencyModel —
+# ranked and unranked locks, XST_BLOCKING declarations, guarded/unguarded
+# fields, and per-function acquisition/call/write sites with the locks held
+# at each — and one checker walks it.
 # ---------------------------------------------------------------------------
 
 LOCK_ACQ_RE = re.compile(r"\b(?:xst::)?MutexLock\s+\w+\s*\(\s*([^();]+)\)")
@@ -484,143 +497,16 @@ def _lock_identity(expr, cls, func_scope):
     return func_scope + "::" + e
 
 
-def collect_lock_edges(rel_path, lines):
-    """Yields (holder, acquired, line_no) lock-acquisition edges from the
-    stripped lines of one file. See the rule docstring for the edge kinds."""
-    edges = []
-    stem = rel_path.rsplit("/", 1)[-1]
-    class_stack = []  # (name, open_depth)
-    func = None       # dict: held / cls / scope / entry_depth / locks
-    depth = 0
-    sig_buf = ""
-    in_pp = False
-    for i, line in enumerate(lines, 1):
-        # Preprocessor lines (and their continuations) are not scopes; a
-        # multi-line macro body would otherwise corrupt the brace depth.
-        if in_pp or line.lstrip().startswith("#"):
-            in_pp = line.rstrip().endswith("\\")
-            sig_buf = ""
-            continue
-        opens = line.count("{")
-        closes = line.count("}")
-        if func is None:
-            boundary = ";" in line or opens or closes
-            sig = (sig_buf + " " + line).strip()
-            class_m = LOCK_CLASS_RE.match(sig)
-            if class_m and opens:
-                class_stack.append((class_m.group(1), depth))
-            elif boundary and "(" in sig:
-                req = SIG_REQUIRES_RE.search(sig)
-                acq = SIG_ACQUIRE_RE.search(sig)
-                cls = next((m.group(1) for m in LOCK_QUAL_RE.finditer(sig)
-                            if m.group(1) not in ("std", "xst")), None)
-                if cls is None and class_stack:
-                    cls = class_stack[-1][0]
-                scope = f"{stem}:{i}"
-                if req and acq:
-                    # Annotation-only seam: the body (wherever it is) takes
-                    # B while the caller already holds A.
-                    for h in _lock_split_args(req.group(1)):
-                        for a in _lock_split_args(acq.group(1)):
-                            hid = _lock_identity(h, cls, scope)
-                            aid = _lock_identity(a, cls, scope)
-                            if hid and aid:
-                                edges.append((hid, aid, i))
-                if opens and ";" not in line.split("{", 1)[0]:
-                    held = []
-                    if req:
-                        held = [h for h in
-                                (_lock_identity(x, cls, scope)
-                                 for x in _lock_split_args(req.group(1))) if h]
-                    func = {"held": held, "cls": cls, "scope": scope,
-                            "entry_depth": depth, "locks": []}
-            if boundary:
-                sig_buf = ""
-            else:
-                sig_buf = sig
-        if func is not None:
-            for m in LOCK_ACQ_RE.finditer(line):
-                prefix = line[:m.start()]
-                at_depth = depth + prefix.count("{") - prefix.count("}")
-                acquired = _lock_identity(m.group(1), func["cls"], func["scope"])
-                if acquired is None:
-                    continue
-                for holder in func["held"] + [lid for lid, _ in func["locks"]]:
-                    edges.append((holder, acquired, i))
-                func["locks"].append((acquired, at_depth))
-        depth += opens - closes
-        if depth < 0:
-            depth = 0
-        while class_stack and depth <= class_stack[-1][1]:
-            class_stack.pop()
-        if func is not None:
-            func["locks"] = [(lid, d) for lid, d in func["locks"] if depth >= d]
-            if depth <= func["entry_depth"]:
-                func = None
-    return edges
-
-
-def lock_cycle_findings(edges):
-    """Yields (site, message) for every edge on a lock-order cycle. `site`
-    is whatever third element the edges carry (a line number here; a
-    (path, line) pair in the astcheck cross-file pass)."""
-    graph = {}
-    for holder, acquired, _site in edges:
-        graph.setdefault(holder, set()).add(acquired)
-
-    def reaches(src, dst):
-        seen = set()
-        stack = [src]
-        while stack:
-            node = stack.pop()
-            if node == dst:
-                return True
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(graph.get(node, ()))
-        return False
-
-    emitted = set()
-    for holder, acquired, site in edges:
-        if holder == acquired:
-            message = (f"lock-order cycle: '{acquired}' acquired while "
-                       "already held (self-deadlock)")
-        elif reaches(acquired, holder):
-            message = (f"lock-order cycle: acquires '{acquired}' while "
-                       f"holding '{holder}', but '{holder}' is also "
-                       f"(transitively) acquired while '{acquired}' is held; "
-                       "establish a single lock order")
-        else:
-            continue
-        if (site, message) not in emitted:
-            emitted.add((site, message))
-            yield site, message
-
-
-def rule_lock_order_cycle(rel_path, lines, _raw):
-    yield from lock_cycle_findings(collect_lock_edges(rel_path, lines))
-
-
-# ---------------------------------------------------------------------------
-# locksmith: the concurrency-protocol rules (lock-rank, blocking-under-latch,
-# guarded-field-inference). One textual collector builds a ConcurrencyModel —
-# ranked locks, XST_BLOCKING declarations, guarded/unguarded fields, and per-
-# function acquisition/call/write sites with the locks held at each — and one
-# checker walks it. tools/xst_astcheck.py reuses both: its AST engine parses
-# the same facts from clang cursors and unions them into this model, so the
-# AST findings are a superset of the textual ones by construction and one
-# `xst-lint: allow(rule)` pragma suppresses the same site in both engines.
-# ---------------------------------------------------------------------------
-
 # Locks with rank >= this floor are latch-class: blocking calls under them
-# are findings. SetStore::mu_ (rank 10) sits below the floor on purpose —
-# the single-writer store lock legally covers WAL waits and file I/O.
-LATCH_FLOOR_DEFAULT = 20
-LATCH_FLOOR = LATCH_FLOOR_DEFAULT
+# are findings. It is the rank of PagerShard::latch. SetStore::mu_ (rank 10)
+# sits below the floor on purpose — the single-writer store lock legally
+# covers WAL waits and file I/O.
+LATCH_FLOOR = 20
 
-RANK_DECL_RE = re.compile(
-    r"\b(?:xst::)?Mutex\s+(\w+)\s+XST_LOCK_RANK\s*\(\s*(\d+)\s*\)")
+# Every xst::Mutex declaration by value — member, local or global; pointers
+# and references name a lock declared elsewhere. Group 2 is its rank.
+MUTEX_DECL_RE = re.compile(
+    r"\b(?:xst::)?Mutex\s+(\w+)(?:\s*XST_LOCK_RANK\s*\(\s*(\d+)\s*\))?")
 BLOCKING_DECL_RE = re.compile(r"\bXST_BLOCKING\s+(\w+)\s*\(")
 GUARDED_FIELD_RE = re.compile(r"\b(\w+)\s+XST_(?:PT_)?GUARDED_BY\s*\(")
 # Trailing-underscore members only (the project's field naming convention);
@@ -662,6 +548,8 @@ class ConcurrencyModel:
     def __init__(self):
         self.ranks = {}        # lock identity -> (rank, (path, line))
         self.rank_names = {}   # bare lock name -> set of declared ranks
+        self.unranked = []     # (lock name, (path, line)) missing a rank
+        self.acquire_decls = []  # XST_ACQUIRE(B) annotations: (B, site, held A)
         self.fields = {}       # (class, field) -> {"site", "guarded"}
         self.blocking_names = set()  # names declared XST_BLOCKING
         self.functions = []    # per-function dicts, see _collect_file
@@ -687,10 +575,9 @@ def _rank_identity(name, cls_ctx, func, stem, line_no):
     return f"{stem}:{line_no}::{name}"
 
 
-def collect_concurrency_model(files, model=None):
-    """Builds (or extends) a ConcurrencyModel from [(rel_path, stripped_lines)]."""
-    if model is None:
-        model = ConcurrencyModel()
+def collect_concurrency_model(files):
+    """Builds a ConcurrencyModel from [(rel_path, stripped_lines)]."""
+    model = ConcurrencyModel()
     for rel_path, lines in files:
         _collect_file(model, rel_path, lines)
     return model
@@ -698,6 +585,8 @@ def collect_concurrency_model(files, model=None):
 
 def _collect_file(model, rel_path, lines):
     stem = rel_path.rsplit("/", 1)[-1]
+    # The lock types themselves are the one place a Mutex needs no rank.
+    rank_exempt = _exempt(rel_path, ("common/sync.h", "common/sync.cc"))
     class_stack = []  # (name, open_depth)
     func = None       # dict, see below
     depth = 0
@@ -715,8 +604,13 @@ def _collect_file(model, rel_path, lines):
         # Declarations: ranks, blocking annotations, fields. Visible at any
         # scope — ranked locks may be class members, namespace globals, or
         # function-local merge mutexes.
-        for m in RANK_DECL_RE.finditer(line):
-            name, rank = m.group(1), int(m.group(2))
+        for m in MUTEX_DECL_RE.finditer(line):
+            name = m.group(1)
+            if m.group(2) is None:
+                if not rank_exempt:
+                    model.unranked.append((name, (rel_path, i)))
+                continue
+            rank = int(m.group(2))
             ident = _rank_identity(name, cls_ctx, func, stem, i)
             if ident:
                 model.ranks.setdefault(ident, (rank, (rel_path, i)))
@@ -734,15 +628,16 @@ def _collect_file(model, rel_path, lines):
                     {"site": (rel_path, i),
                      "guarded": bool(gm and gm.group(1) == fm.group(1))})
 
-        # Function boundary tracking (same discipline as collect_lock_edges).
+        # Function boundary tracking.
         if func is None:
             boundary = ";" in line or opens or closes
             sig = (sig_buf + " " + line).strip()
             class_m = LOCK_CLASS_RE.match(sig)
             if class_m and opens:
                 class_stack.append((class_m.group(1), depth))
-            elif boundary and "(" in sig and opens and ";" not in line.split("{", 1)[0]:
+            elif boundary and "(" in sig:
                 req = SIG_REQUIRES_RE.search(sig)
+                acq = SIG_ACQUIRE_RE.search(sig)
                 cls = next((m.group(1) for m in LOCK_QUAL_RE.finditer(sig)
                             if m.group(1) not in ("std", "xst")), None)
                 if cls is None and class_stack:
@@ -754,8 +649,14 @@ def _collect_file(model, rel_path, lines):
                             (_lock_identity(x, cls, scope)
                              for x in _lock_split_args(req.group(1))
                              if not x.strip().startswith("!")) if h]
+                # XST_REQUIRES(A) XST_ACQUIRE(B), declared or defined: the
+                # function takes B while its caller holds A.
+                for x in _lock_split_args(acq.group(1)) if acq else ():
+                    ident = _lock_identity(x, cls, scope)
+                    if ident:
+                        model.acquire_decls.append((ident, (rel_path, i), held))
                 name = _fn_name_from_sig(sig)
-                if name:
+                if name and opens and ";" not in line.split("{", 1)[0]:
                     func = {"name": name, "cls": cls, "scope": scope,
                             "site": (rel_path, i), "entry_held": held,
                             "entry_depth": depth, "locks": [],
@@ -827,10 +728,8 @@ def _collect_file(model, rel_path, lines):
                 func = None
 
 
-def concurrency_findings(model, latch_floor=None):
+def concurrency_findings(model):
     """Yields (rule, (path, line), message) over a ConcurrencyModel."""
-    floor = LATCH_FLOOR if latch_floor is None else latch_floor
-
     def rank_of(ident):
         info = model.ranks.get(ident)
         if info is not None:
@@ -852,6 +751,29 @@ def concurrency_findings(model, latch_floor=None):
             if r is not None and r > best[0]:
                 best = (r, h)
         return best
+
+    def rank_violation(ident, held, base):
+        # A held lock's rank equals itself, so re-acquiring it is never
+        # strictly increasing, whether or not its rank is known here.
+        if ident in held:
+            return (f"acquires '{ident}' while it is already held "
+                    "(self-deadlock)")
+        r = rank_of(ident)
+        hrank, hname = best_held(held, base)
+        if r is not None and hname is not None and r <= hrank:
+            return (f"acquires '{ident}' (rank {r}) while '{hname}' "
+                    f"(rank {hrank}) is held; lock ranks must strictly "
+                    "increase along every acquisition path")
+        return None
+
+    for name, site in model.unranked:
+        yield ("lock-rank", site,
+               f"xst::Mutex '{name}' is declared without XST_LOCK_RANK(n); "
+               "every lock takes a place in the rank hierarchy")
+    for ident, site, held in model.acquire_decls:
+        message = rank_violation(ident, held, (-1, None))
+        if message:
+            yield ("lock-rank", site, message)
 
     by_name = {}
     for f in model.functions:
@@ -903,15 +825,9 @@ def concurrency_findings(model, latch_floor=None):
 
     for f in model.functions:
         for ident, site, held in f["acquisitions"]:
-            r = rank_of(ident)
-            if r is None:
-                continue
-            hrank, hname = best_held(held, entry[id(f)])
-            if hname is not None and r <= hrank:
-                yield ("lock-rank", site,
-                       f"acquires '{ident}' (rank {r}) while '{hname}' "
-                       f"(rank {hrank}) is held; lock ranks must strictly "
-                       "increase along every acquisition path")
+            message = rank_violation(ident, held, entry[id(f)])
+            if message:
+                yield ("lock-rank", site, message)
         for name, receiver, site, held in f["calls"]:
             blocking = (name in model.blocking_names
                         or (receiver and name in BLOCKING_REGISTRY)
@@ -928,10 +844,10 @@ def concurrency_findings(model, latch_floor=None):
                     hrank, hname = (-1, None)
             else:
                 hrank, hname = best_held(held, entry[id(f)])
-            if hname is not None and hrank >= floor:
+            if hname is not None and hrank >= LATCH_FLOOR:
                 yield ("blocking-under-latch", site,
                        f"blocking call '{name}' reached while '{hname}' "
-                       f"(rank {hrank} >= latch floor {floor}) is held; "
+                       f"(rank {hrank} >= latch floor {LATCH_FLOOR}) is held; "
                        "latch-class locks must never cover blocking points")
 
     flagged = set()
@@ -964,6 +880,7 @@ rule_guarded_field_inference = _concurrency_rule("guarded-field-inference")
 
 RULES = {
     "thread-primitives": rule_thread_primitives,
+    "bare-mutex": rule_bare_mutex,
     "raw-new-delete": rule_raw_new_delete,
     "interner-mutation": rule_interner_mutation,
     "sorted-members-dcheck": rule_sorted_members_dcheck,
@@ -971,20 +888,20 @@ RULES = {
     "raw-page-pointer": rule_raw_page_pointer,
     "obs-doc-comments": rule_obs_doc_comments,
     "vm-opcode-dispatch": rule_vm_opcode_dispatch,
-    "lock-order-cycle": rule_lock_order_cycle,
+    "lock-across-parallelfor": rule_lock_across_parallelfor,
+    "result-value-unchecked": rule_result_value_unchecked,
     "lock-rank": rule_lock_rank,
     "blocking-under-latch": rule_blocking_under_latch,
     "guarded-field-inference": rule_guarded_field_inference,
 }
 
-# Rules whose facts span translation units: lint_paths re-runs them over a
-# tree-wide ConcurrencyModel so a rank declared in a header constrains
-# acquisitions in every .cc, and a field declared in a header is matched
-# with writes in the out-of-line method bodies.
-CROSS_FILE_RULES = ("lock-rank", "blocking-under-latch",
-                    "guarded-field-inference")
-
 ALLOW_RE = re.compile(r"xst-lint:\s*allow\(([a-z-]+)\)")
+
+
+def _allowed(raw_lines, line_no, rule_name):
+    raw_line = raw_lines[line_no - 1] if line_no <= len(raw_lines) else ""
+    allow = ALLOW_RE.search(raw_line)
+    return bool(allow and allow.group(1) == rule_name)
 
 
 def lint_text(rel_path, raw_text):
@@ -994,11 +911,8 @@ def lint_text(rel_path, raw_text):
     findings = []
     for rule_name, rule_fn in RULES.items():
         for line_no, message in rule_fn(rel_path, lines, raw_lines):
-            raw_line = raw_lines[line_no - 1] if line_no <= len(raw_lines) else ""
-            allow = ALLOW_RE.search(raw_line)
-            if allow and allow.group(1) == rule_name:
-                continue
-            findings.append(Finding(rel_path, line_no, rule_name, message))
+            if not _allowed(raw_lines, line_no, rule_name):
+                    findings.append(Finding(rel_path, line_no, rule_name, message))
     return findings
 
 
@@ -1033,20 +947,15 @@ def lint_paths(paths):
         model = collect_concurrency_model(sorted(stripped_by_rel.items()))
         reported = {(x.path, x.line, x.rule) for x in findings}
         for rule_id, (rel, line_no), message in concurrency_findings(model):
-            if (rel, line_no, rule_id) in reported:
-                continue
-            raw_lines = raw_by_rel.get(rel, ())
-            raw_line = raw_lines[line_no - 1] if line_no <= len(raw_lines) else ""
-            allow = ALLOW_RE.search(raw_line)
-            if allow and allow.group(1) == rule_id:
-                continue
-            findings.append(Finding(rel, line_no, rule_id, message))
+            if ((rel, line_no, rule_id) not in reported
+                    and not _allowed(raw_by_rel[rel], line_no, rule_id)):
+                findings.append(Finding(rel, line_no, rule_id, message))
     return findings, len(files)
 
 
 # ---------------------------------------------------------------------------
-# Self-test: each fixture is (rule, expect_hit, code). Fixture paths are
-# chosen to avoid every path-based exemption.
+# Self-test: each fixture is (rule, expect_hit, code[, path]). Without a
+# path a fixture lives at selftest/fixture.cc, clear of every exemption.
 # ---------------------------------------------------------------------------
 
 SELF_TEST_FIXTURES = [
@@ -1162,63 +1071,6 @@ SELF_TEST_FIXTURES = [
      "  case OpCode::kAdd: break;\n"
      "  default: break;\n"
      "}\n"),
-    # lock-order-cycle: two methods of one class taking the two member locks
-    # in opposite orders is the canonical deadlock.
-    ("lock-order-cycle", True,
-     "class S {\n"
-     "  void F() XST_REQUIRES(a_) { MutexLock l(&b_); }\n"
-     "  void G() XST_REQUIRES(b_) { MutexLock l(&a_); }\n"
-     "  Mutex a_;\n"
-     "  Mutex b_;\n"
-     "};\n"),
-    # Same two locks, consistent order everywhere: fine.
-    ("lock-order-cycle", False,
-     "class S {\n"
-     "  void F() XST_REQUIRES(a_) { MutexLock l(&b_); }\n"
-     "  void G() XST_REQUIRES(a_) { MutexLock l(&b_); }\n"
-     "  Mutex a_;\n"
-     "  Mutex b_;\n"
-     "};\n"),
-    # Self-deadlock: nested scoped locks on the same (non-reentrant) mutex.
-    ("lock-order-cycle", True,
-     "void F() {\n"
-     "  MutexLock outer(&mu_);\n"
-     "  MutexLock inner(&mu_);\n"
-     "}\n"),
-    # Sequential scopes never overlap, so no edge and no cycle.
-    ("lock-order-cycle", False,
-     "void F() {\n"
-     "  { MutexLock l(&a_); }\n"
-     "  { MutexLock l(&b_); }\n"
-     "}\n"),
-    # Nested different locks in one direction only: an edge, not a cycle.
-    ("lock-order-cycle", False,
-     "void F() {\n"
-     "  MutexLock outer(&a_);\n"
-     "  MutexLock inner(&b_);\n"
-     "}\n"),
-    # Out-of-line definitions qualify member locks by class, so the cycle
-    # is still visible when the bodies live in a .cc file.
-    ("lock-order-cycle", True,
-     "void Store::Load() XST_REQUIRES(mu_) { MutexLock l(&shard_mu_); }\n"
-     "void Store::Evict() XST_REQUIRES(shard_mu_) { MutexLock l(&mu_); }\n"),
-    # Two different classes each with a lock named mu_ must not alias.
-    ("lock-order-cycle", False,
-     "void A::F() XST_REQUIRES(mu_) { MutexLock l(&other_); }\n"
-     "void B::G() XST_REQUIRES(other_) { MutexLock l(&mu_); }\n"),
-    # Annotation-only seam: REQUIRES + ACQUIRE on declarations.
-    ("lock-order-cycle", True,
-     "class S {\n"
-     "  void F() XST_REQUIRES(a_) XST_ACQUIRE(b_);\n"
-     "  void G() XST_REQUIRES(b_) XST_ACQUIRE(a_);\n"
-     "  Mutex a_;\n"
-     "  Mutex b_;\n"
-     "};\n"),
-    ("lock-order-cycle", False,
-     "void F() {\n"
-     "  MutexLock outer(&mu_);\n"
-     "  MutexLock inner(&mu_);  // xst-lint: allow(lock-order-cycle)\n"
-     "}\n"),
     # lock-rank: descending rank order inside one function.
     ("lock-rank", True,
      "class S {\n"
@@ -1279,7 +1131,8 @@ SELF_TEST_FIXTURES = [
      "  void Helper() { MutexLock l(&mu_); }\n"
      "  Mutex mu_ XST_LOCK_RANK(10);\n"
      "};\n"),
-    # Unranked locks do not participate.
+    # A lock whose missing rank is suppressed at its declaration takes no
+    # part in the order.
     ("lock-rank", False,
      "class S {\n"
      "  void F() {\n"
@@ -1287,7 +1140,7 @@ SELF_TEST_FIXTURES = [
      "    MutexLock inner(&plain_);\n"
      "  }\n"
      "  Mutex hi_ XST_LOCK_RANK(30);\n"
-     "  Mutex plain_;\n"
+     "  Mutex plain_;  // xst-lint: allow(lock-rank)\n"
      "};\n"),
     ("lock-rank", False,
      "class S {\n"
@@ -1297,6 +1150,171 @@ SELF_TEST_FIXTURES = [
      "  Mutex hi_ XST_LOCK_RANK(30);\n"
      "  Mutex lo_ XST_LOCK_RANK(10);\n"
      "};\n"),
+    # The retired lock-order-cycle rule's fixtures. Each positive appears
+    # twice: as written, where its unranked (or re-acquired) lock is the
+    # finding, and with ranks added, where the rank order is. Each negative
+    # stays clean with consistent ranks.
+    # Two methods taking two member locks in opposite orders.
+    ("lock-rank", True,
+     "class S {\n"
+     "  void F() XST_REQUIRES(a_) { MutexLock l(&b_); }\n"
+     "  void G() XST_REQUIRES(b_) { MutexLock l(&a_); }\n"
+     "  Mutex a_;\n"
+     "  Mutex b_;\n"
+     "};\n"),
+    ("lock-rank", True,
+     "class S {\n"
+     "  void F() XST_REQUIRES(a_) { MutexLock l(&b_); }\n"
+     "  void G() XST_REQUIRES(b_) { MutexLock l(&a_); }\n"
+     "  Mutex a_ XST_LOCK_RANK(10);\n"
+     "  Mutex b_ XST_LOCK_RANK(20);\n"
+     "};\n"),
+    # Same two locks, consistent order everywhere: fine.
+    ("lock-rank", False,
+     "class S {\n"
+     "  void F() XST_REQUIRES(a_) { MutexLock l(&b_); }\n"
+     "  void G() XST_REQUIRES(a_) { MutexLock l(&b_); }\n"
+     "  Mutex a_ XST_LOCK_RANK(10);\n"
+     "  Mutex b_ XST_LOCK_RANK(20);\n"
+     "};\n"),
+    # Self-deadlock: nested scoped locks on the same (non-reentrant) mutex.
+    ("lock-rank", True,
+     "void F() {\n"
+     "  MutexLock outer(&mu_);\n"
+     "  MutexLock inner(&mu_);\n"
+     "}\n"),
+    ("lock-rank", True,
+     "Mutex mu_ XST_LOCK_RANK(10);\n"
+     "void F() {\n"
+     "  MutexLock outer(&mu_);\n"
+     "  MutexLock inner(&mu_);\n"
+     "}\n"),
+    # Sequential scopes never nest, so even descending ranks are fine.
+    ("lock-rank", False,
+     "Mutex a_ XST_LOCK_RANK(20);\n"
+     "Mutex b_ XST_LOCK_RANK(10);\n"
+     "void F() {\n"
+     "  { MutexLock l(&a_); }\n"
+     "  { MutexLock l(&b_); }\n"
+     "}\n"),
+    # Nested different locks in one direction only.
+    ("lock-rank", False,
+     "Mutex a_ XST_LOCK_RANK(10);\n"
+     "Mutex b_ XST_LOCK_RANK(20);\n"
+     "void F() {\n"
+     "  MutexLock outer(&a_);\n"
+     "  MutexLock inner(&b_);\n"
+     "}\n"),
+    # Out-of-line definitions qualify member locks by class. Written without
+    # declarations, so the as-written copy adds them unranked.
+    ("lock-rank", True,
+     "class Store {\n"
+     "  Mutex mu_;\n"
+     "  Mutex shard_mu_;\n"
+     "};\n"
+     "void Store::Load() XST_REQUIRES(mu_) { MutexLock l(&shard_mu_); }\n"
+     "void Store::Evict() XST_REQUIRES(shard_mu_) { MutexLock l(&mu_); }\n"),
+    ("lock-rank", True,
+     "class Store {\n"
+     "  Mutex mu_ XST_LOCK_RANK(10);\n"
+     "  Mutex shard_mu_ XST_LOCK_RANK(20);\n"
+     "};\n"
+     "void Store::Load() XST_REQUIRES(mu_) { MutexLock l(&shard_mu_); }\n"
+     "void Store::Evict() XST_REQUIRES(shard_mu_) { MutexLock l(&mu_); }\n"),
+    # Two different classes each with a lock named mu_ must not alias.
+    ("lock-rank", False,
+     "class A {\n"
+     "  Mutex mu_ XST_LOCK_RANK(10);\n"
+     "  Mutex other_ XST_LOCK_RANK(20);\n"
+     "};\n"
+     "class B {\n"
+     "  Mutex other_ XST_LOCK_RANK(10);\n"
+     "  Mutex mu_ XST_LOCK_RANK(20);\n"
+     "};\n"
+     "void A::F() XST_REQUIRES(mu_) { MutexLock l(&other_); }\n"
+     "void B::G() XST_REQUIRES(other_) { MutexLock l(&mu_); }\n"),
+    # Annotation-only seam: REQUIRES(A) + ACQUIRE(B) on declarations.
+    ("lock-rank", True,
+     "class S {\n"
+     "  void F() XST_REQUIRES(a_) XST_ACQUIRE(b_);\n"
+     "  void G() XST_REQUIRES(b_) XST_ACQUIRE(a_);\n"
+     "  Mutex a_;\n"
+     "  Mutex b_;\n"
+     "};\n"),
+    ("lock-rank", True,
+     "class S {\n"
+     "  void F() XST_REQUIRES(a_) XST_ACQUIRE(b_);\n"
+     "  void G() XST_REQUIRES(b_) XST_ACQUIRE(a_);\n"
+     "  Mutex a_ XST_LOCK_RANK(10);\n"
+     "  Mutex b_ XST_LOCK_RANK(20);\n"
+     "};\n"),
+    ("lock-rank", False,
+     "Mutex mu_ XST_LOCK_RANK(10);\n"
+     "void F() {\n"
+     "  MutexLock outer(&mu_);\n"
+     "  MutexLock inner(&mu_);  // xst-lint: allow(lock-rank)\n"
+     "}\n"),
+    # The same shapes over xst::-qualified locks.
+    ("lock-rank", True,
+     "#include \"src/common/sync.h\"\n"
+     "class S {\n"
+     " public:\n"
+     "  void F() XST_REQUIRES(a_) { xst::MutexLock l(&b_); }\n"
+     "  void G() XST_REQUIRES(b_) { xst::MutexLock l(&a_); }\n"
+     " private:\n"
+     "  xst::Mutex a_;\n"
+     "  xst::Mutex b_;\n"
+     "};\n"),
+    ("lock-rank", True,
+     "#include \"src/common/sync.h\"\n"
+     "class S {\n"
+     " public:\n"
+     "  void F() XST_REQUIRES(a_) { xst::MutexLock l(&b_); }\n"
+     "  void G() XST_REQUIRES(b_) { xst::MutexLock l(&a_); }\n"
+     " private:\n"
+     "  xst::Mutex a_ XST_LOCK_RANK(10);\n"
+     "  xst::Mutex b_ XST_LOCK_RANK(20);\n"
+     "};\n"),
+    ("lock-rank", False,
+     "#include \"src/common/sync.h\"\n"
+     "class S {\n"
+     " public:\n"
+     "  void F() XST_REQUIRES(a_) { xst::MutexLock l(&b_); }\n"
+     "  void G() XST_REQUIRES(a_) { xst::MutexLock l(&b_); }\n"
+     " private:\n"
+     "  xst::Mutex a_ XST_LOCK_RANK(10);\n"
+     "  xst::Mutex b_ XST_LOCK_RANK(20);\n"
+     "};\n"),
+    ("lock-rank", True,
+     "#include \"src/common/sync.h\"\n"
+     "xst::Mutex mu;\n"
+     "void F() {\n"
+     "  xst::MutexLock outer(&mu);\n"
+     "  xst::MutexLock inner(&mu);\n"
+     "}\n"),
+    ("lock-rank", True,
+     "#include \"src/common/sync.h\"\n"
+     "xst::Mutex mu XST_LOCK_RANK(10);\n"
+     "void F() {\n"
+     "  xst::MutexLock outer(&mu);\n"
+     "  xst::MutexLock inner(&mu);\n"
+     "}\n"),
+    ("lock-rank", False,
+     "#include \"src/common/sync.h\"\n"
+     "xst::Mutex a XST_LOCK_RANK(20);\n"
+     "xst::Mutex b XST_LOCK_RANK(10);\n"
+     "void F() {\n"
+     "  { xst::MutexLock l(&a); }\n"
+     "  { xst::MutexLock l(&b); }\n"
+     "}\n"),
+    ("lock-rank", False,
+     "#include \"src/common/sync.h\"\n"
+     "xst::Mutex a XST_LOCK_RANK(10);\n"
+     "xst::Mutex b XST_LOCK_RANK(20);\n"
+     "void F() {\n"
+     "  xst::MutexLock outer(&a);\n"
+     "  xst::MutexLock inner(&b);\n"
+     "}\n"),
     # blocking-under-latch: file I/O while a latch-class (rank >= 20) lock
     # is held.
     ("blocking-under-latch", True,
@@ -1420,6 +1438,221 @@ SELF_TEST_FIXTURES = [
      "  Mutex mu_ XST_LOCK_RANK(10);\n"
      "  int x_ = 0;  // xst-lint: allow(guarded-field-inference)\n"
      "};\n"),
+    # Moved in from the retired libclang engine's self-test.
+    ("bare-mutex", True, "std::mutex mu;\n"),
+    ("bare-mutex", True, "std::lock_guard<std::mutex> lock(mu);\n"),
+    ("bare-mutex", True, "std::condition_variable cv;\n"),
+    ("bare-mutex", False,
+     "xst::Mutex mu;\n"
+     "MutexLock lock(&mu);\n"),
+    ("bare-mutex", False, "// std::mutex is banned outside sync.h\n"),
+    ("bare-mutex", False, "std::mutex mu_;\n", "src/common/sync.h"),
+    ("bare-mutex", False, "std::mutex mu;  // xst-lint: allow(bare-mutex)\n"),
+    ("thread-primitives", False, "ThreadPool::Global().ParallelFor(n, 1, body);\n"),
+    ("thread-primitives", False, "std::thread t;\n", "src/common/thread_pool.cc"),
+    ("thread-primitives", False,
+     "std::thread t([] {});  // xst-lint: allow(thread-primitives)\n"),
+    ("interner-mutation", False, "Interner::Global().Int(7);\n", "src/core/xset.cc"),
+    ("raw-page-pointer", True, "Page* p = ref.get();\n"),
+    ("raw-page-pointer", True, "Page* p = &*pager->FetchPage(0);\n"),
+    ("raw-page-pointer", False, "PageRef ref = *pager.FetchPage(id);\n"),
+    ("raw-page-pointer", False, "Page* frame;\n"),
+    ("raw-page-pointer", False, "Page* p = ref.get();\n", "src/store/pager.cc"),
+    ("lock-across-parallelfor", True,
+     "void F() {\n"
+     "  MutexLock lock(&mu_);\n"
+     "  ThreadPool::Global().ParallelFor(n, 1, body);\n"
+     "}\n"),
+    ("lock-across-parallelfor", False,
+     "void F() {\n"
+     "  {\n"
+     "    MutexLock lock(&mu_);\n"
+     "    total = Sum();\n"
+     "  }\n"
+     "  ThreadPool::Global().ParallelFor(n, 1, body);\n"
+     "}\n"),
+    ("lock-across-parallelfor", False,
+     "void F() {\n"
+     "  ThreadPool::Global().ParallelFor(n, 1, body);\n"
+     "}\n"),
+    ("result-value-unchecked", True,
+     "namespace xst { template <typename T> class Result {\n"
+     " public: bool ok() const; T& value(); }; }\n"
+     "int F(xst::Result<int> r) { return r.value(); }\n"),
+    ("result-value-unchecked", False,
+     "namespace xst { template <typename T> class Result {\n"
+     " public: bool ok() const; T& value(); }; }\n"
+     "int F(xst::Result<int> r) {\n"
+     "  if (!r.ok()) return -1;\n"
+     "  return r.value();\n"
+     "}\n"),
+    # A used Result passes -Werror=unused-result; the rule still sees it.
+    ("result-value-unchecked", True,
+     "int G() {\n"
+     "  Result<int> r = F();\n"
+     "  return r.value();\n"
+     "}\n"),
+    ("vm-opcode-dispatch", True,
+     "enum class OpCode : int { kAdd, kSub };\n"
+     "void Run(OpCode op) {\n"
+     "  switch (op) {\n"
+     "    case OpCode::kAdd:\n"
+     "      break;\n"
+     "  }\n"
+     "}\n"),
+    ("vm-opcode-dispatch", True,
+     "enum class OpCode : int { kAdd };\n"
+     "void Run(OpCode op) {\n"
+     "  switch (op) {\n"
+     "    case OpCode::kAdd: break;\n"
+     "    default: break;\n"
+     "  }\n"
+     "}\n"),
+    ("vm-opcode-dispatch", False,
+     "enum class OpCode : int { kAdd, kSub };\n"
+     "void Run(OpCode op) {\n"
+     "  switch (op) {\n"
+     "    case OpCode::kAdd: break;\n"
+     "    case OpCode::kSub: break;\n"
+     "  }\n"
+     "}\n"),
+    ("vm-opcode-dispatch", False,
+     "enum class ExprKind : int { kUnion };\n"
+     "void Run(ExprKind k) {\n"
+     "  switch (k) {\n"
+     "    case ExprKind::kUnion: break;\n"
+     "    default: break;\n"
+     "  }\n"
+     "}\n"),
+    ("lock-rank", True,
+     "#include \"src/common/sync.h\"\n"
+     "class S {\n"
+     " public:\n"
+     "  void F() {\n"
+     "    xst::MutexLock outer(&lo_);\n"
+     "    xst::MutexLock inner(&hi_);\n"
+     "  }\n"
+     " private:\n"
+     "  xst::Mutex lo_ XST_LOCK_RANK(30);\n"
+     "  xst::Mutex hi_ XST_LOCK_RANK(10);\n"
+     "};\n"),
+    ("lock-rank", False,
+     "#include \"src/common/sync.h\"\n"
+     "class S {\n"
+     " public:\n"
+     "  void F() {\n"
+     "    xst::MutexLock outer(&lo_);\n"
+     "    xst::MutexLock inner(&hi_);\n"
+     "  }\n"
+     " private:\n"
+     "  xst::Mutex lo_ XST_LOCK_RANK(10);\n"
+     "  xst::Mutex hi_ XST_LOCK_RANK(30);\n"
+     "};\n"),
+    ("lock-rank", True,
+     "#include \"src/common/sync.h\"\n"
+     "class S {\n"
+     " public:\n"
+     "  void F() XST_REQUIRES(hi_) { Helper(); }\n"
+     "  void Helper() { xst::MutexLock l(&lo_); }\n"
+     " private:\n"
+     "  xst::Mutex hi_ XST_LOCK_RANK(30);\n"
+     "  xst::Mutex lo_ XST_LOCK_RANK(10);\n"
+     "};\n"),
+    ("lock-rank", False,
+     "#include \"src/common/sync.h\"\n"
+     "class S {\n"
+     " public:\n"
+     "  void F() {\n"
+     "    xst::MutexLock outer(&lo_);\n"
+     "    xst::MutexLock inner(&hi_);  // xst-lint: allow(lock-rank)\n"
+     "  }\n"
+     " private:\n"
+     "  xst::Mutex lo_ XST_LOCK_RANK(30);\n"
+     "  xst::Mutex hi_ XST_LOCK_RANK(10);\n"
+     "};\n"),
+    ("blocking-under-latch", True,
+     "#include \"src/common/sync.h\"\n"
+     "#include \"src/store/file.h\"\n"
+     "class C {\n"
+     " public:\n"
+     "  void F() {\n"
+     "    xst::MutexLock l(&latch_);\n"
+     "    file_->ReadAt(0, nullptr, 8);\n"
+     "  }\n"
+     " private:\n"
+     "  xst::Mutex latch_ XST_LOCK_RANK(20);\n"
+     "  xst::File* file_;\n"
+     "};\n"),
+    ("blocking-under-latch", False,
+     "#include \"src/common/sync.h\"\n"
+     "#include \"src/store/file.h\"\n"
+     "class C {\n"
+     " public:\n"
+     "  void F() {\n"
+     "    xst::MutexLock l(&mu_);\n"
+     "    file_->ReadAt(0, nullptr, 8);\n"
+     "  }\n"
+     " private:\n"
+     "  xst::Mutex mu_ XST_LOCK_RANK(10);\n"
+     "  xst::File* file_;\n"
+     "};\n"),
+    ("blocking-under-latch", True,
+     "#include \"src/common/sync.h\"\n"
+     "void XST_BLOCKING Stall();\n"
+     "class C {\n"
+     " public:\n"
+     "  void F() {\n"
+     "    xst::MutexLock l(&latch_);\n"
+     "    Stall();\n"
+     "  }\n"
+     " private:\n"
+     "  xst::Mutex latch_ XST_LOCK_RANK(20);\n"
+     "};\n"),
+    ("blocking-under-latch", False,
+     "#include \"src/common/sync.h\"\n"
+     "#include \"src/store/file.h\"\n"
+     "class C {\n"
+     " public:\n"
+     "  void F() {\n"
+     "    xst::MutexLock l(&latch_);\n"
+     "    file_->ReadAt(0, nullptr, 8);  // xst-lint: allow(blocking-under-latch)\n"
+     "  }\n"
+     " private:\n"
+     "  xst::Mutex latch_ XST_LOCK_RANK(20);\n"
+     "  xst::File* file_;\n"
+     "};\n"),
+    ("guarded-field-inference", True,
+     "#include \"src/common/sync.h\"\n"
+     "class C {\n"
+     " public:\n"
+     "  void Set(int v) {\n"
+     "    xst::MutexLock l(&mu_);\n"
+     "    x_ = v;\n"
+     "  }\n"
+     " private:\n"
+     "  xst::Mutex mu_ XST_LOCK_RANK(10);\n"
+     "  int x_ = 0;\n"
+     "};\n"),
+    ("guarded-field-inference", False,
+     "#include \"src/common/sync.h\"\n"
+     "class C {\n"
+     " public:\n"
+     "  void Set(int v) {\n"
+     "    xst::MutexLock l(&mu_);\n"
+     "    x_ = v;\n"
+     "  }\n"
+     " private:\n"
+     "  xst::Mutex mu_ XST_LOCK_RANK(10);\n"
+     "  int x_ XST_GUARDED_BY(mu_) = 0;\n"
+     "};\n"),
+    ("guarded-field-inference", False,
+     "#include \"src/common/sync.h\"\n"
+     "class C {\n"
+     " public:\n"
+     "  void Set(int v) { x_ = v; }\n"
+     " private:\n"
+     "  int x_ = 0;\n"
+     "};\n"),
 ]
 
 
@@ -1451,14 +1684,7 @@ def main(argv):
     parser.add_argument("paths", nargs="*", help="files or directories (default: src/)")
     parser.add_argument("--list-rules", action="store_true")
     parser.add_argument("--self-test", action="store_true")
-    parser.add_argument("--latch-floor", type=int, default=LATCH_FLOOR_DEFAULT,
-                        metavar="N",
-                        help="minimum lock rank treated as a latch by "
-                             "blocking-under-latch (default: %(default)s)")
     args = parser.parse_args(argv)
-
-    global LATCH_FLOOR
-    LATCH_FLOOR = args.latch_floor
 
     if args.list_rules:
         for name in RULES:
